@@ -45,7 +45,7 @@ fn bench(c: &mut Criterion) {
         g.bench_function("cold-plan", |b| {
             b.iter(|| {
                 let plan = engine.plan(&table, &query).expect("plans");
-                black_box(session.run(&plan).rows.len())
+                black_box(session.run(&plan, None).rows.len())
             })
         });
     }

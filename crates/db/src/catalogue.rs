@@ -1412,8 +1412,8 @@ mod tests {
         );
         assert_eq!(rebased.cardinality_estimate(), fresh.cardinality_estimate());
         // The rebased plan executes over the merged rows.
-        let out = crate::Session::new().run(&rebased);
-        let expect = crate::Session::new().run(&fresh);
+        let out = crate::Session::new().run(&rebased, None);
+        let expect = crate::Session::new().run(&fresh, None);
         assert_eq!(out.rows, expect.rows);
     }
 

@@ -36,16 +36,17 @@ use crate::cancel::{CancelCause, CancelToken};
 use crate::catalogue::{CatOp, SharedCatalogue};
 use crate::delta::TableStats;
 use crate::engine::{Engine, ExecutionReport, QueryOutput};
+use crate::executor::ExecutorConfig;
 use crate::filter::Predicate;
 use crate::ingest::{CompactionPolicy, IngestError, IngestReceipt, RowBatch};
 use crate::join::{join_local_traced, plan_join, JoinPlan, LocalJoinObs, PreparedJoin};
 use crate::metrics::{MetricsSnapshot, SlowQuery};
+use crate::morsel;
 use crate::plan::{PlanError, PlanStep, QueryPlan};
 use crate::prepared::PreparedStatement;
 use crate::query::AggregateQuery;
 use crate::recovery;
-use crate::session::{assemble_rows, PartialRun, Session};
-use crate::shard::{host_having, host_order_by};
+use crate::session::Session;
 use crate::snapshot::{Snapshot, SnapshotStats};
 use crate::sql::{parse_statement, AsOf, ParseSqlError, SqlQuery, Statement};
 use crate::table::Table;
@@ -55,6 +56,7 @@ use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Why a SQL statement failed to execute.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -332,6 +334,23 @@ impl ExplainOutput {
             ExplainOutput::Join(j) => Some(j),
         }
     }
+
+    /// The same plan as an `EXPLAIN` statement's outcome.
+    fn into_outcome(self) -> SqlOutcome {
+        match self {
+            ExplainOutput::Plan(p) => SqlOutcome::Plan(p),
+            ExplainOutput::Join(j) => SqlOutcome::JoinPlan(j),
+        }
+    }
+}
+
+/// What [`Database::read`] executes: a parsed `SELECT` (with its source
+/// text, recorded in the metrics) planned at the read's snapshot, or a
+/// plan a prepared statement already bound.
+#[derive(Clone, Copy)]
+pub(crate) enum ReadQuery<'a> {
+    Sql(&'a str, &'a SqlQuery),
+    Plan(&'a QueryPlan),
 }
 
 /// What one SQL statement produced.
@@ -742,56 +761,36 @@ impl Database {
 
     /// Plans one SELECT/EXPLAIN query — **the** read path. `AS OF`
     /// names an explicit state and wins outright; otherwise the read
-    /// happens at the open read-only transaction's snapshot if one is
-    /// pinned, else at a snapshot-of-now (a write transaction's own
-    /// buffered statements are not visible to it before `COMMIT`).
-    fn plan_read(&self, q: &SqlQuery) -> Result<QueryPlan, SqlError> {
+    /// happens at `snap` when the caller pins one
+    /// ([`Database::run_sql_at`]), else at the open read-only
+    /// transaction's snapshot if one is pinned, else at a
+    /// snapshot-of-now (a write transaction's own buffered statements
+    /// are not visible to it before `COMMIT`).
+    fn plan_read(&self, q: &SqlQuery, snap: Option<&Snapshot>) -> Result<QueryPlan, SqlError> {
         if let Some(as_of) = &q.as_of {
             return self.plan_as_of(&q.table, as_of, &q.query);
         }
-        match &self.txn {
-            TxnState::Read(snap) => self.catalogue.plan_query_at(snap, &q.table, &q.query),
+        match snap.or(self.txn_snapshot()) {
+            Some(snap) => self.catalogue.plan_query_at(snap, &q.table, &q.query),
             // `plan_query` captures (and releases) a snapshot-of-now
             // internally — the same path, same pins, same cache.
-            _ => self.catalogue.plan_query(&q.table, &q.query),
+            None => self.catalogue.plan_query(&q.table, &q.query),
         }
-    }
-
-    /// Plans a two-table join at one snapshot cut: both sides'
-    /// content, statistics and data versions come from the same
-    /// consistent view, so the join never mixes a pre-ingest left with
-    /// a post-ingest right.
-    fn plan_join_at_snapshot(
-        &self,
-        snap: &Snapshot,
-        q: &SqlQuery,
-    ) -> Result<(JoinPlan, Table, Table), SqlError> {
-        let join = q.join.as_ref().expect("caller verified a join clause");
-        let fetch = |name: &str| -> Result<(Table, TableStats, u64), SqlError> {
-            match (
-                snap.table(name),
-                snap.table_stats(name),
-                snap.data_version(name),
-            ) {
-                (Some(t), Some(s), Some(v)) => Ok((t, s, v)),
-                _ => Err(SqlError::UnknownTable(name.to_string())),
-            }
-        };
-        let (lt, ls, lv) = fetch(&q.table)?;
-        let (rt, rs, rv) = fetch(&join.table)?;
-        let plan = plan_join(
-            &q.query, join, &q.table, &lt, &ls, lv, &rt, &rs, rv, 1, None,
-        )?;
-        Ok((plan, lt, rt))
     }
 
     /// Plans a two-table join — the join twin of
     /// [`Database::plan_read`]. `AS OF` names an explicit frozen state
     /// for **both** tables and wins outright; otherwise the join reads
-    /// at the open read-only transaction's snapshot if one is pinned,
-    /// else at a snapshot-of-now covering the whole catalogue (one
-    /// atomic cut for both tables).
-    fn plan_join_read(&self, q: &SqlQuery) -> Result<(JoinPlan, Table, Table), SqlError> {
+    /// at one snapshot cut (`snap`, else the open read-only
+    /// transaction's, else a snapshot-of-now covering the whole
+    /// catalogue): both sides' content, statistics and data versions
+    /// come from the same consistent view, so the join never mixes a
+    /// pre-ingest left with a post-ingest right.
+    fn plan_join_read(
+        &self,
+        q: &SqlQuery,
+        snap: Option<&Snapshot>,
+    ) -> Result<(JoinPlan, Table, Table), SqlError> {
         let join = q.join.as_ref().expect("caller verified a join clause");
         if let Some(as_of) = &q.as_of {
             let (lt, lv, rt, rv, label) = match as_of {
@@ -823,75 +822,60 @@ impl Database {
             return Ok((plan, lt, rt));
         }
         let owned;
-        let snap = match self.txn_snapshot() {
+        let snap = match snap.or(self.txn_snapshot()) {
             Some(snap) => snap,
             None => {
                 owned = self.catalogue.snapshot();
                 &owned
             }
         };
-        self.plan_join_at_snapshot(snap, q)
-    }
-
-    /// The snapshot join planner: `AS OF` wins over the snapshot,
-    /// matching [`Database::plan_read_at`].
-    fn plan_join_read_at(
-        &self,
-        snap: &Snapshot,
-        q: &SqlQuery,
-    ) -> Result<(JoinPlan, Table, Table), SqlError> {
-        if q.as_of.is_some() {
-            return self.plan_join_read(q);
-        }
         if !snap.catalogue().is_same(&self.catalogue) {
             return Err(SqlError::ForeignSnapshot);
         }
-        self.plan_join_at_snapshot(snap, q)
+        let fetch = |name: &str| -> Result<(Table, TableStats, u64), SqlError> {
+            match (
+                snap.table(name),
+                snap.table_stats(name),
+                snap.data_version(name),
+            ) {
+                (Some(t), Some(s), Some(v)) => Ok((t, s, v)),
+                _ => Err(SqlError::UnknownTable(name.to_string())),
+            }
+        };
+        let (lt, ls, lv) = fetch(&q.table)?;
+        let (rt, rs, rv) = fetch(&join.table)?;
+        let plan = plan_join(
+            &q.query, join, &q.table, &lt, &ls, lv, &rt, &rs, rv, 1, None,
+        )?;
+        Ok((plan, lt, rt))
     }
 
-    /// Plans and executes a two-table join: hash build over the
-    /// smaller side, probe, then the ordinary aggregation tail over
-    /// the derived rows (see [`crate::join`]).
-    fn run_join(&mut self, q: &SqlQuery) -> Result<QueryOutput, SqlError> {
-        self.run_join_with(q, None, None)
-    }
-
-    /// [`Database::run_join`] with an optional pinned snapshot (the
-    /// `run_sql_at` path) and optional tracing (`EXPLAIN ANALYZE`).
-    fn run_join_with(
+    /// Plans and executes a two-table join at `snap` (see
+    /// [`Database::plan_join_read`]): hash build over the smaller
+    /// side, probe, then the ordinary aggregation tail over the
+    /// derived rows (see [`crate::join`]), folding the join's host
+    /// steps into `trace` when one is given.
+    fn run_join(
         &mut self,
         q: &SqlQuery,
         snap: Option<&Snapshot>,
         mut trace: Option<&mut QueryTrace>,
     ) -> Result<QueryOutput, SqlError> {
-        let (plan, lt, rt) = match snap {
-            Some(snap) => self.plan_join_read_at(snap, q)?,
-            None => self.plan_join_read(q)?,
-        };
+        let (plan, lt, rt) = self.plan_join_read(q, snap)?;
         let (derived, obs) = join_local_traced(&plan, &lt, &rt);
         if let Some(t) = trace.as_deref_mut() {
             record_join_obs(t, &plan, &obs);
         }
-        self.run_join_tail_with(plan.steps(), plan.query(), &derived, trace)
+        self.run_join_tail(plan.steps(), plan.query(), &derived, trace)
     }
 
     /// Runs the aggregation tail of a join over its derived table and
     /// splices the join steps in front of the report's plan steps. An
     /// empty derived table (no key matched) short-circuits to zero
-    /// rows — the single-table engine would reject planning it.
+    /// rows — the single-table engine would reject planning it. With
+    /// `trace`, the derived table's aggregate plan folds its estimates
+    /// and per-step actuals into the trace after the join's host steps.
     pub(crate) fn run_join_tail(
-        &mut self,
-        steps: &[PlanStep],
-        agg: &AggregateQuery,
-        derived: &Table,
-    ) -> Result<QueryOutput, SqlError> {
-        self.run_join_tail_with(steps, agg, derived, None)
-    }
-
-    /// [`Database::run_join_tail`] with optional tracing: the derived
-    /// table's aggregate plan folds its estimates and per-step actuals
-    /// into the trace after the join's host steps.
-    fn run_join_tail_with(
         &mut self,
         steps: &[PlanStep],
         agg: &AggregateQuery,
@@ -901,7 +885,7 @@ impl Database {
         if derived.rows() == 0 {
             return Ok(QueryOutput {
                 rows: Vec::new(),
-                report: crate::engine::ExecutionReport {
+                report: ExecutionReport {
                     algorithm: None,
                     rows_aggregated: 0,
                     cycles: 0,
@@ -911,27 +895,67 @@ impl Database {
             });
         }
         let plan = self.catalogue.engine().plan(derived, agg)?;
-        let mut out = match trace {
-            Some(t) => {
-                t.estimate_plan(&plan);
-                let (out, step_traces) = self.session.run_traced(&plan);
-                t.record_steps(&step_traces);
-                out
-            }
-            None => self.session.run(&plan),
-        };
+        let mut out = self.run_plan(&plan, trace);
         let mut all = steps.to_vec();
         all.append(&mut out.report.steps);
         out.report.steps = all;
         Ok(out)
     }
 
-    /// The `EXPLAIN ANALYZE` body: executes the statement exactly as
-    /// the plain `SELECT` arm would — same planner, same session, same
-    /// snapshot rules — while folding a [`QueryTrace`] of per-step
-    /// estimated-vs-actual rows and simulated cycles. Tracing only
-    /// reads the cycle counter and host-side lengths, so the returned
-    /// rows are bit-identical to the untraced statement.
+    /// Executes a plan whole on this session — the reference path,
+    /// with HAVING/ORDER BY vectorised on the machine — folding the
+    /// plan's estimates and per-step actuals into `trace` when given.
+    fn run_plan(&mut self, plan: &QueryPlan, trace: Option<&mut QueryTrace>) -> QueryOutput {
+        let Some(t) = trace else {
+            return self.session.run(plan, None);
+        };
+        t.estimate_plan(plan);
+        let mut steps = Vec::new();
+        let out = self.session.run(plan, Some(&mut steps));
+        t.record_steps(&steps);
+        out
+    }
+
+    /// The one read body behind every `SELECT` (and `EXPLAIN ANALYZE`)
+    /// of [`Database::run_sql`], [`Database::run_sql_at`],
+    /// [`Database::execute_sql`] and the [`PreparedStatement`]
+    /// executions: plans `q` at `snap` (a prepared statement's plan is
+    /// already bound), runs it whole on this session, and records the
+    /// query in the metrics. With `trace`, the run folds a
+    /// [`QueryTrace`] of per-step estimated-vs-actual rows and
+    /// simulated cycles; tracing only reads the cycle counter and
+    /// host-side lengths, so the rows are bit-identical to the
+    /// untraced read.
+    pub(crate) fn read(
+        &mut self,
+        q: ReadQuery<'_>,
+        snap: Option<&Snapshot>,
+        mut trace: Option<&mut QueryTrace>,
+    ) -> Result<QueryOutput, SqlError> {
+        let output = match q {
+            ReadQuery::Sql(_, select) if select.join.is_some() => {
+                self.run_join(select, snap, trace.as_deref_mut())?
+            }
+            ReadQuery::Sql(_, select) => {
+                let plan = self.plan_read(select, snap)?;
+                self.run_plan(&plan, trace.as_deref_mut())
+            }
+            ReadQuery::Plan(plan) => self.run_plan(plan, trace.as_deref_mut()),
+        };
+        match q {
+            ReadQuery::Sql(sql, _) => self.note_query(sql, &output),
+            ReadQuery::Plan(plan) => self.note_query(&plan.sql(), &output),
+        }
+        if let Some(t) = trace {
+            t.cycles = output.report.cycles;
+            t.rows = output.rows.len() as u64;
+            self.catalogue.metrics().record_traced_query();
+        }
+        Ok(output)
+    }
+
+    /// The `EXPLAIN ANALYZE` body: [`Database::read`] with a fresh
+    /// trace.
     fn analyze(
         &mut self,
         q: &SqlQuery,
@@ -939,23 +963,18 @@ impl Database {
         snap: Option<&Snapshot>,
     ) -> Result<AnalyzedQuery, SqlError> {
         let mut trace = QueryTrace::new(sql.trim().to_string());
-        let output = if q.join.is_some() {
-            self.run_join_with(q, snap, Some(&mut trace))?
-        } else {
-            let plan = match snap {
-                Some(snap) => self.plan_read_at(snap, q)?,
-                None => self.plan_read(q)?,
-            };
-            trace.estimate_plan(&plan);
-            let (out, step_traces) = self.session.run_traced(&plan);
-            trace.record_steps(&step_traces);
-            out
-        };
-        trace.cycles = output.report.cycles;
-        trace.rows = output.rows.len() as u64;
-        self.note_query(sql, &output);
-        self.catalogue.metrics().record_traced_query();
+        let output = self.read(ReadQuery::Sql(sql, q), snap, Some(&mut trace))?;
         Ok(AnalyzedQuery { output, trace })
+    }
+
+    /// The `EXPLAIN` body: the typed plan (or join plan) at `snap`,
+    /// without executing anything.
+    fn explain(&self, q: &SqlQuery, snap: Option<&Snapshot>) -> Result<ExplainOutput, SqlError> {
+        Ok(if q.join.is_some() {
+            ExplainOutput::Join(Box::new(self.plan_join_read(q, snap)?.0))
+        } else {
+            ExplainOutput::Plan(Box::new(self.plan_read(q, snap)?))
+        })
     }
 
     /// Folds one finished query into the catalogue's metrics registry
@@ -1030,26 +1049,38 @@ impl Database {
     /// [`SqlError::Plan`] (carrying a typed [`PlanError`]) for planning
     /// problems.
     pub fn run_sql(&mut self, sql: &str) -> Result<SqlOutcome, SqlError> {
+        self.run_statement(sql, None)
+    }
+
+    /// The one statement body behind [`Database::run_sql`] (`snap` =
+    /// `None`) and [`Database::run_sql_at`] (`snap` = the caller's
+    /// pinned snapshot, where every write and transaction statement is
+    /// a typed rejection).
+    fn run_statement(
+        &mut self,
+        sql: &str,
+        snap: Option<&Snapshot>,
+    ) -> Result<SqlOutcome, SqlError> {
         match parse_statement(sql)? {
-            Statement::Select(q) => {
-                if q.join.is_some() {
-                    let out = self.run_join(&q)?;
-                    self.note_query(sql, &out);
-                    return Ok(SqlOutcome::Rows(out));
-                }
-                let plan = self.plan_read(&q)?;
-                let out = self.session.run(&plan);
-                self.note_query(sql, &out);
-                Ok(SqlOutcome::Rows(out))
-            }
+            Statement::Select(q) => Ok(SqlOutcome::Rows(self.read(
+                ReadQuery::Sql(sql, &q),
+                snap,
+                None,
+            )?)),
             Statement::ExplainAnalyze(q) => {
-                Ok(SqlOutcome::Analyzed(Box::new(self.analyze(&q, sql, None)?)))
+                Ok(SqlOutcome::Analyzed(Box::new(self.analyze(&q, sql, snap)?)))
             }
-            Statement::Explain(q) => {
-                if q.join.is_some() {
-                    return Ok(SqlOutcome::JoinPlan(Box::new(self.plan_join_read(&q)?.0)));
-                }
-                Ok(SqlOutcome::Plan(Box::new(self.plan_read(&q)?)))
+            Statement::Explain(q) => Ok(self.explain(&q, snap)?.into_outcome()),
+            Statement::Insert(_)
+            | Statement::Delete(_)
+            | Statement::Update(_)
+            | Statement::CreateSnapshot(_)
+                if snap.is_some() =>
+            {
+                Err(SqlError::ReadOnly)
+            }
+            Statement::Begin { .. } | Statement::Commit | Statement::Rollback if snap.is_some() => {
+                Err(SqlError::TransactionStatement)
             }
             Statement::Insert(ins) => {
                 let batch =
@@ -1167,8 +1198,8 @@ impl Database {
         }
         match parse_statement(sql)? {
             Statement::Select(q) if q.join.is_none() => {
-                let plan = self.plan_read(&q)?;
-                let out = self.run_plan_cancellable(&plan, token)?;
+                let plan = self.plan_read(&q, None)?;
+                let out = self.run_morsels(plan, token)?;
                 self.note_query(sql, &out);
                 Ok(SqlOutcome::Rows(out))
             }
@@ -1185,91 +1216,41 @@ impl Database {
         }
     }
 
-    /// Runs one `SELECT` plan in morsel-sized row ranges with `token`
-    /// checked before each range — the single-session counterpart of
-    /// the executor's morsel-pop check. The range partials merge to the
-    /// whole answer at any split (see [`Session::run_partial_range`]),
-    /// and the coordinator tail (`HAVING`, `ORDER BY`/`LIMIT`, row
-    /// assembly) is shared with the sharded path — so the rows are
-    /// bit-identical to [`Session::run`].
-    ///
-    /// Composite grouping forces the plan's own exact key domains into
-    /// every range's fusion (the single-plan case of the sharded
-    /// coordinator's fast path): all partials share one fused key
-    /// space, merge directly, and skip the per-range max scans. Ranges
-    /// whose zone maps prove the WHERE predicate matches nothing are
-    /// pruned before running, counted in [`Database::metrics`].
-    fn run_plan_cancellable(
+    /// Runs one `SELECT` plan through the shared morsel coordinator
+    /// (see [`crate::morsel`]) inline on this session, with `token`
+    /// admitting each morsel — the single-session counterpart of the
+    /// executor's morsel-pop check. The plan splits into
+    /// [`ExecutorConfig::default`]-sized morsels exactly as one shard
+    /// of a [`crate::ShardedDatabase`] would: zone-map pruned ranges
+    /// are skipped (counted in [`Database::metrics`]), composite
+    /// grouping forces the plan's own exact key domains into every
+    /// morsel, and the merged partials finish through the coordinator
+    /// tail — so the rows are bit-identical to [`Session::run`].
+    fn run_morsels(
         &mut self,
-        plan: &QueryPlan,
+        plan: QueryPlan,
         token: &CancelToken,
     ) -> Result<QueryOutput, SqlError> {
-        let n = plan.rows();
-        let morsel_rows = crate::executor::ExecutorConfig::default()
-            .morsel_rows
-            .max(1);
-        let forced: Option<&[u64]> =
-            (!plan.query().group_by_rest.is_empty()).then(|| plan.key_domains());
-        let mut runs: Vec<PartialRun> = Vec::new();
-        let (mut pruned_morsels, mut pruned_rows) = (0u64, 0u64);
-        let mut lo = 0;
-        while lo < n {
-            if let Err(cause) = token.admit_morsel() {
-                return Err(SqlError::Cancelled(cause));
-            }
-            let hi = (lo + morsel_rows).min(n);
-            if plan.prunes_range(lo, hi) {
-                pruned_morsels += 1;
-                pruned_rows += (hi - lo) as u64;
-            } else {
-                runs.push(match forced {
-                    Some(d) => self.session.run_partial_range_forced(plan, lo, hi, d),
-                    None => self.session.run_partial_range(plan, lo, hi),
-                });
-            }
-            lo = hi;
-        }
-        if pruned_morsels > 0 {
-            self.catalogue
-                .metrics()
-                .record_pruned(pruned_morsels, pruned_rows);
-        }
-        let query = plan.query();
-        let merged = vagg_core::PartialAggregate::merge_all(runs.iter().map(|r| r.partial.clone()))
-            .unwrap_or_else(|| vagg_core::PartialAggregate::empty(query.needs_minmax()));
-        let rest_domains: Vec<u32> = match forced {
-            Some(d) => d[1..].iter().map(|&d| d as u32).collect(),
-            None => Vec::new(),
+        let plan = Arc::new(plan);
+        let config = ExecutorConfig {
+            workers: 1,
+            ..ExecutorConfig::default()
         };
-        let (mut base, mut mm) = (merged.base, merged.minmax);
-        if let Some(h) = &query.having {
-            host_having(h, &mut base, &mut mm);
-        }
-        if let Some(ob) = &query.order_by {
-            host_order_by(ob, &mut base, &mut mm);
-        }
-        let rows = assemble_rows(
-            query,
-            &base,
-            mm.as_ref().map(|(a, b)| (&a[..], &b[..])),
-            &rest_domains,
-        );
-        let cycles: u64 = runs.iter().map(|r| r.report.cycles).sum();
-        let rows_aggregated: usize = runs.iter().map(|r| r.report.rows_aggregated).sum();
-        Ok(QueryOutput {
-            rows,
-            report: ExecutionReport {
-                algorithm: runs.iter().find_map(|r| r.report.algorithm),
-                rows_aggregated,
-                cycles,
-                cpt: if n == 0 {
-                    0.0
-                } else {
-                    cycles as f64 / n as f64
-                },
-                steps: plan.steps().to_vec(),
-            },
-        })
+        let (session, metrics) = (&mut self.session, self.catalogue.metrics());
+        let plans = [Some(Arc::clone(&plan))];
+        let out = morsel::execute(plan.query(), &plans, config, None, |morsels, pruned| {
+            let mut outcomes = Vec::with_capacity(morsels.len());
+            for morsel in &morsels {
+                token.admit_morsel().map_err(SqlError::Cancelled)?;
+                outcomes.push(morsel.run(session, 0, 0, false, 0));
+            }
+            metrics.record_pruned(pruned.morsels, pruned.rows);
+            Ok(outcomes)
+        })?;
+        // The whole plan ran, its tail on the host: report every step.
+        let mut out = QueryOutput::from(out);
+        out.report.steps = plan.steps().to_vec();
+        Ok(out)
     }
 
     /// `table` must be registered — queue-time validation for write
@@ -1555,51 +1536,7 @@ impl Database {
     /// [`SqlError::ForeignSnapshot`] if the snapshot was cut from a
     /// different catalogue.
     pub fn run_sql_at(&mut self, snap: &Snapshot, sql: &str) -> Result<SqlOutcome, SqlError> {
-        match parse_statement(sql)? {
-            Statement::Select(q) => {
-                if q.join.is_some() {
-                    let (plan, lt, rt) = self.plan_join_read_at(snap, &q)?;
-                    let (derived, _obs) = join_local_traced(&plan, &lt, &rt);
-                    let out = self.run_join_tail(plan.steps(), plan.query(), &derived)?;
-                    self.note_query(sql, &out);
-                    return Ok(SqlOutcome::Rows(out));
-                }
-                let plan = self.plan_read_at(snap, &q)?;
-                let out = self.session.run(&plan);
-                self.note_query(sql, &out);
-                Ok(SqlOutcome::Rows(out))
-            }
-            Statement::ExplainAnalyze(q) => Ok(SqlOutcome::Analyzed(Box::new(self.analyze(
-                &q,
-                sql,
-                Some(snap),
-            )?))),
-            Statement::Explain(q) => {
-                if q.join.is_some() {
-                    return Ok(SqlOutcome::JoinPlan(Box::new(
-                        self.plan_join_read_at(snap, &q)?.0,
-                    )));
-                }
-                Ok(SqlOutcome::Plan(Box::new(self.plan_read_at(snap, &q)?)))
-            }
-            Statement::Insert(_)
-            | Statement::Delete(_)
-            | Statement::Update(_)
-            | Statement::CreateSnapshot(_) => Err(SqlError::ReadOnly),
-            Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
-                Err(SqlError::TransactionStatement)
-            }
-        }
-    }
-
-    /// The snapshot read path's planner: `AS OF` names an explicit
-    /// frozen state and wins over the snapshot, as in
-    /// [`Database::run_sql`].
-    fn plan_read_at(&self, snap: &Snapshot, q: &SqlQuery) -> Result<QueryPlan, SqlError> {
-        match &q.as_of {
-            Some(as_of) => self.plan_as_of(&q.table, as_of, &q.query),
-            None => self.catalogue.plan_query_at(snap, &q.table, &q.query),
-        }
+        self.run_statement(sql, Some(snap))
     }
 
     /// Parses a `SELECT` with `?` placeholders into a reusable
@@ -1646,17 +1583,7 @@ impl Database {
     /// if it is an `INSERT` (rejected *before* any row is appended).
     pub fn execute_sql(&mut self, sql: &str) -> Result<QueryOutput, SqlError> {
         match parse_statement(sql)? {
-            Statement::Select(q) => {
-                if q.join.is_some() {
-                    let out = self.run_join(&q)?;
-                    self.note_query(sql, &out);
-                    return Ok(out);
-                }
-                let plan = self.plan_read(&q)?;
-                let out = self.session.run(&plan);
-                self.note_query(sql, &out);
-                Ok(out)
-            }
+            Statement::Select(q) => self.read(ReadQuery::Sql(sql, &q), None, None),
             Statement::Explain(_) | Statement::ExplainAnalyze(_) => Err(SqlError::ExplainStatement),
             Statement::Insert(_) => Err(SqlError::InsertStatement),
             Statement::Delete(_) | Statement::Update(_) | Statement::CreateSnapshot(_) => {
@@ -1679,20 +1606,8 @@ impl Database {
     /// As [`Database::run_sql`], plus [`SqlError::InsertStatement`] for
     /// `INSERT` (ingest has no plan).
     pub fn explain_sql(&self, sql: &str) -> Result<ExplainOutput, SqlError> {
-        let q = match parse_statement(sql)? {
-            Statement::Select(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => q,
-            Statement::Insert(_) => return Err(SqlError::InsertStatement),
-            Statement::Delete(_) | Statement::Update(_) | Statement::CreateSnapshot(_) => {
-                return Err(SqlError::MutationStatement)
-            }
-            Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
-                return Err(SqlError::TransactionStatement)
-            }
-        };
-        if q.join.is_some() {
-            return Ok(ExplainOutput::Join(Box::new(self.plan_join_read(&q)?.0)));
-        }
-        Ok(ExplainOutput::Plan(Box::new(self.plan_read(&q)?)))
+        let q = parse_plannable(sql)?;
+        self.explain(&q, None)
     }
 
     /// Plans a two-table `JOIN` statement without executing it,
@@ -1729,20 +1644,11 @@ impl Database {
     /// As [`Database::explain_sql`], plus [`SqlError::JoinStatement`]
     /// when the statement has no `JOIN` clause.
     pub fn explain_join_sql(&self, sql: &str) -> Result<JoinPlan, SqlError> {
-        let q = match parse_statement(sql)? {
-            Statement::Select(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => q,
-            Statement::Insert(_) => return Err(SqlError::InsertStatement),
-            Statement::Delete(_) | Statement::Update(_) | Statement::CreateSnapshot(_) => {
-                return Err(SqlError::MutationStatement)
-            }
-            Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
-                return Err(SqlError::TransactionStatement)
-            }
-        };
+        let q = parse_plannable(sql)?;
         if q.join.is_none() {
             return Err(SqlError::JoinStatement);
         }
-        Ok(self.plan_join_read(&q)?.0)
+        Ok(self.plan_join_read(&q, None)?.0)
     }
 
     /// Parses a two-table `JOIN` statement with `?` placeholders into
@@ -1757,29 +1663,6 @@ impl Database {
     /// the statement has no `JOIN` clause.
     pub fn prepare_join(&self, sql: &str) -> Result<PreparedJoin, SqlError> {
         PreparedJoin::prepare(&self.catalogue, sql)
-    }
-
-    /// Executes an already-built plan on this session (the prepared
-    /// statement path).
-    pub(crate) fn run_plan(&mut self, plan: &QueryPlan) -> QueryOutput {
-        let out = self.session.run(plan);
-        self.note_query(&plan.sql(), &out);
-        out
-    }
-
-    /// [`Database::run_plan`] with tracing on — the prepared
-    /// statement's `EXPLAIN ANALYZE` path
-    /// ([`PreparedStatement::analyze`]).
-    pub(crate) fn run_plan_traced(&mut self, plan: &QueryPlan) -> AnalyzedQuery {
-        let mut trace = QueryTrace::new(plan.sql());
-        trace.estimate_plan(plan);
-        let (output, step_traces) = self.session.run_traced(plan);
-        trace.record_steps(&step_traces);
-        trace.cycles = output.report.cycles;
-        trace.rows = output.rows.len() as u64;
-        self.note_query(&plan.sql(), &output);
-        self.catalogue.metrics().record_traced_query();
-        AnalyzedQuery { output, trace }
     }
 
     /// One metrics snapshot across every subsystem this database
@@ -1826,6 +1709,22 @@ impl Database {
     /// query (the ring keeps the worst regardless).
     pub fn set_slow_query_threshold(&self, cycles: u64) {
         self.catalogue.metrics().set_slow_query_threshold(cycles);
+    }
+}
+
+/// The query of a statement that has a plan — a bare `SELECT`, an
+/// `EXPLAIN SELECT` or an `EXPLAIN ANALYZE SELECT` — for the explain
+/// entry points; every other statement is a typed rejection.
+fn parse_plannable(sql: &str) -> Result<SqlQuery, SqlError> {
+    match parse_statement(sql)? {
+        Statement::Select(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => Ok(q),
+        Statement::Insert(_) => Err(SqlError::InsertStatement),
+        Statement::Delete(_) | Statement::Update(_) | Statement::CreateSnapshot(_) => {
+            Err(SqlError::MutationStatement)
+        }
+        Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
+            Err(SqlError::TransactionStatement)
+        }
     }
 }
 
@@ -2654,4 +2553,3 @@ mod tests {
         assert!(matches!(err, SqlError::Cancelled(_)));
     }
 }
-

@@ -459,8 +459,9 @@ impl ZoneMaps {
             *bounds = bounds
                 .chunks(2)
                 .map(|c| {
-                    c.iter()
-                        .fold((u32::MAX, 0u32), |(lo, hi), &(mn, mx)| (lo.min(mn), hi.max(mx)))
+                    c.iter().fold((u32::MAX, 0u32), |(lo, hi), &(mn, mx)| {
+                        (lo.min(mn), hi.max(mx))
+                    })
                 })
                 .collect();
         }
@@ -488,9 +489,9 @@ impl ZoneMaps {
 
 /// `(min, max)` of a non-empty slice.
 fn minmax(values: &[u32]) -> (u32, u32) {
-    values.iter().fold((u32::MAX, 0u32), |(lo, hi), &x| {
-        (lo.min(x), hi.max(x))
-    })
+    values
+        .iter()
+        .fold((u32::MAX, 0u32), |(lo, hi), &x| (lo.min(x), hi.max(x)))
 }
 
 /// Live, incrementally maintained statistics for one registered table:

@@ -14,9 +14,10 @@
 //!   queries — submitting a query is a mutex/notify, not N `clone()`s
 //!   of a thread stack.
 //! * **Morsels.** A shard's plan is split into fixed-size row ranges
-//!   (morsels) over its base++delta prefix view; each morsel runs the
-//!   distributive slice via [`Session::run_partial_range`] and yields a
-//!   mergeable [`vagg_core::PartialAggregate`]. The shard's §V-D
+//!   (morsels) over its base++delta prefix view by the shared morsel
+//!   coordinator; each morsel runs the distributive slice via
+//!   [`Session::run_partial`] and yields a mergeable
+//!   [`vagg_core::PartialAggregate`]. The shard's §V-D
 //!   algorithm choice rides on the plan, so every morsel of a shard
 //!   still runs the algorithm *that shard's* statistics picked.
 //! * **Work stealing.** Morsels are seeded onto per-worker deques
@@ -43,9 +44,8 @@ use std::thread::JoinHandle;
 use vagg_sim::SimConfig;
 
 /// How an [`Executor`] is shaped. The default — as many workers as
-/// shards, 2048-row morsels, stealing on, zone-map pruning on,
-/// adaptive sizing off — is what [`crate::ShardedDatabase::new`]
-/// builds.
+/// shards, 2048-row morsels, stealing on, zone-map pruning on — is
+/// what [`crate::ShardedDatabase::new`] builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
     /// Worker threads in the pool. `0` means "match the shard count" —
@@ -63,13 +63,6 @@ pub struct ExecutorConfig {
     /// pool degrades to static shard-to-worker assignment — kept as a
     /// switch so the bench can measure exactly what stealing buys.
     pub steal: bool,
-    /// Whether coordinators consult [`Executor::morsel_rows_hint`] —
-    /// a sizing hint retuned after every query from the observed
-    /// per-morsel cost spread (high variance → smaller morsels so
-    /// stealing can rebalance; flat costs → larger morsels to shed
-    /// scheduling overhead). Off by default so morsel boundaries stay
-    /// reproducible run-to-run.
-    pub adaptive: bool,
     /// Whether coordinators prune morsels whose zone maps prove the
     /// WHERE predicate can match no row (see
     /// [`crate::QueryPlan::zone_maps`]). Pruning is result-invariant —
@@ -85,7 +78,6 @@ impl Default for ExecutorConfig {
             workers: 0,
             morsel_rows: 2048,
             steal: true,
-            adaptive: false,
             prune: true,
         }
     }
@@ -110,7 +102,10 @@ impl fmt::Display for ExecutorError {
                 write!(f, "executor config rejected: workers must be at least 1")
             }
             ExecutorError::ZeroMorselRows => {
-                write!(f, "executor config rejected: morsel_rows must be at least 1")
+                write!(
+                    f,
+                    "executor config rejected: morsel_rows must be at least 1"
+                )
             }
         }
     }
@@ -133,8 +128,8 @@ pub struct ExecutorStats {
     /// [`CancelToken`] had tripped (cumulative).
     pub cancelled_morsels: u64,
     /// Morsels never dispatched: their zone maps proved the WHERE
-    /// predicate matches no row in the range (see
-    /// [`Executor::note_pruned`]).
+    /// predicate matches no row in the range (the coordinator prunes
+    /// them before submission).
     pub morsels_pruned: u64,
     /// Rows those pruned morsels covered.
     pub rows_pruned: u64,
@@ -174,14 +169,56 @@ pub(crate) struct Morsel {
     /// global per-column domains). `Some` puts every morsel of every
     /// shard in one shared fused key space — partials merge directly,
     /// no dictionary remap — and skips the per-column max scans (see
-    /// [`Session::run_partial_range_forced`]). `None` measures domains
-    /// locally, as a standalone session would.
+    /// [`Session::run_partial`]). `None` measures domains locally, as a
+    /// standalone session would.
     pub(crate) domains: Option<Arc<[u64]>>,
     /// Record a [`MorselTrace`] while running (`EXPLAIN ANALYZE`).
     /// Traced morsels produce bit-identical partials — tracing only
-    /// reads the session's cycle counter (see
-    /// [`Session::run_partial_range_traced`]).
+    /// reads the session's cycle counter.
     pub(crate) traced: bool,
+}
+
+impl Morsel {
+    /// Runs the morsel's distributive slice on `session` — the one
+    /// per-morsel body, shared by the pool's workers and the inline
+    /// single-session coordinator. `worker`/`home`/`stolen` say where
+    /// it ran; `queue_wait_ns` is its deque wait (traced morsels only).
+    pub(crate) fn run(
+        &self,
+        session: &mut Session,
+        worker: usize,
+        home: usize,
+        stolen: bool,
+        queue_wait_ns: u64,
+    ) -> MorselOutcome {
+        let mut steps = self.traced.then(Vec::new);
+        let run = session.run_partial(
+            &self.plan,
+            self.lo..self.hi,
+            self.domains.as_deref(),
+            steps.as_mut(),
+        );
+        let trace = steps.map(|steps| MorselTrace {
+            shard: self.shard,
+            lo: self.lo,
+            hi: self.hi,
+            home_worker: home,
+            worker,
+            stolen,
+            queue_wait_ns,
+            cycles: run.report.cycles,
+            steps,
+        });
+        MorselOutcome {
+            shard: self.shard,
+            lo: self.lo,
+            worker,
+            home,
+            stolen,
+            run,
+            trace,
+        }
+    }
 }
 
 /// What one morsel produced, tagged with where it ran.
@@ -392,9 +429,6 @@ pub struct Executor {
     /// with that shard's ranges; the placement overrides it only when
     /// load balance demands (counted as an affinity move).
     affinity: Mutex<Vec<usize>>,
-    /// Adaptive morsel sizing hint, retuned after every aggregation
-    /// query from the observed per-morsel cost spread.
-    morsel_hint: AtomicUsize,
 }
 
 impl fmt::Debug for Executor {
@@ -461,7 +495,6 @@ impl Executor {
             config,
             stats: Mutex::new(ExecutorStats::default()),
             affinity: Mutex::new(Vec::new()),
-            morsel_hint: AtomicUsize::new(config.morsel_rows),
         })
     }
 
@@ -492,46 +525,10 @@ impl Executor {
     /// submission (they never reach the deques, so the pool can't
     /// count them itself).
     pub(crate) fn note_pruned(&self, morsels: u64, rows: u64) {
-        self.shared.morsels_pruned.fetch_add(morsels, Ordering::Relaxed);
+        self.shared
+            .morsels_pruned
+            .fetch_add(morsels, Ordering::Relaxed);
         self.shared.rows_pruned.fetch_add(rows, Ordering::Relaxed);
-    }
-
-    /// Rows per morsel a coordinator should split with right now: the
-    /// configured size, or — with [`ExecutorConfig::adaptive`] on —
-    /// the pool's retuned hint. The hint shrinks (half, floored at
-    /// `max(256, configured/8)`) when the last query's per-morsel
-    /// costs were skewed (max > 2× mean: finer morsels give stealing
-    /// something to rebalance) and grows (double, capped at
-    /// `configured × 8`) when costs were flat (max < 1.25× mean:
-    /// scheduling overhead dominates).
-    pub fn morsel_rows_hint(&self) -> usize {
-        if self.config.adaptive {
-            self.morsel_hint.load(Ordering::Relaxed)
-        } else {
-            self.config.morsel_rows
-        }
-    }
-
-    /// Retunes the adaptive sizing hint from one query's observed
-    /// per-morsel simulated costs.
-    fn retune_morsels(&self, outcomes: &[MorselOutcome]) {
-        if !self.config.adaptive || outcomes.len() < 2 {
-            return;
-        }
-        let costs: Vec<u64> = outcomes.iter().map(|o| o.run.report.cycles).collect();
-        let max = *costs.iter().max().expect("at least two outcomes");
-        let mean = costs.iter().sum::<u64>() / costs.len() as u64;
-        let hint = self.morsel_hint.load(Ordering::Relaxed);
-        let floor = (self.config.morsel_rows / 8).max(256).min(self.config.morsel_rows);
-        let ceil = self.config.morsel_rows.saturating_mul(8);
-        let next = if max > mean.saturating_mul(2) {
-            (hint / 2).max(floor)
-        } else if max.saturating_mul(4) < mean.saturating_mul(5) {
-            (hint.saturating_mul(2)).min(ceil)
-        } else {
-            hint
-        };
-        self.morsel_hint.store(next, Ordering::Relaxed);
     }
 
     /// Places each shard on a worker for one submission: shards are
@@ -569,7 +566,9 @@ impl Executor {
             load[w] += weight[s];
         }
         if moves > 0 {
-            self.shared.affinity_moves.fetch_add(moves, Ordering::Relaxed);
+            self.shared
+                .affinity_moves
+                .fetch_add(moves, Ordering::Relaxed);
         }
         homes
     }
@@ -582,16 +581,13 @@ impl Executor {
         morsels: Vec<Morsel>,
         cancel: Option<&CancelToken>,
     ) -> Vec<MorselOutcome> {
-        let outcomes: Vec<MorselOutcome> = self
-            .submit(morsels.into_iter().map(Task::Agg).collect(), cancel)
+        self.submit(morsels.into_iter().map(Task::Agg).collect(), cancel)
             .into_iter()
             .map(|o| match o {
                 TaskOutcome::Agg(o) => *o,
                 TaskOutcome::Join(_) => unreachable!("aggregation tasks yield Agg outcomes"),
             })
-            .collect();
-        self.retune_morsels(&outcomes);
-        outcomes
+            .collect()
     }
 
     /// Runs one join phase's morsels (all build, or all probe) to
@@ -759,58 +755,19 @@ fn worker_loop(id: usize, shared: &Shared, sim: SimConfig) {
             // queries.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &task {
                 Task::Agg(morsel) => {
-                    let queue_wait_ns = morsel
-                        .traced
-                        .then(|| job.submitted.elapsed().as_nanos() as u64);
-                    // Composite grouping rides the forced-domain fast
-                    // path: the coordinator's global domains put every
-                    // morsel in one shared fused key space, so partials
-                    // merge directly — no per-morsel max scans, no
-                    // dictionary remap.
-                    let (run, steps) = match (&morsel.domains, morsel.traced) {
-                        (Some(d), true) => {
-                            let (run, steps) = session.run_partial_range_forced_traced(
-                                &morsel.plan,
-                                morsel.lo,
-                                morsel.hi,
-                                d,
-                            );
-                            (run, Some(steps))
-                        }
-                        (Some(d), false) => (
-                            session.run_partial_range_forced(&morsel.plan, morsel.lo, morsel.hi, d),
-                            None,
-                        ),
-                        (None, true) => {
-                            let (run, steps) =
-                                session.run_partial_range_traced(&morsel.plan, morsel.lo, morsel.hi);
-                            (run, Some(steps))
-                        }
-                        (None, false) => (
-                            session.run_partial_range(&morsel.plan, morsel.lo, morsel.hi),
-                            None,
-                        ),
+                    let queue_wait_ns = if morsel.traced {
+                        job.submitted.elapsed().as_nanos() as u64
+                    } else {
+                        0
                     };
-                    let trace = steps.map(|steps| MorselTrace {
-                        shard: morsel.shard,
-                        lo: morsel.lo,
-                        hi: morsel.hi,
-                        home_worker: job.homes[morsel.shard],
-                        worker: id,
+                    let home = job.homes[morsel.shard];
+                    TaskOutcome::Agg(Box::new(morsel.run(
+                        &mut session,
+                        id,
+                        home,
                         stolen,
-                        queue_wait_ns: queue_wait_ns.unwrap_or(0),
-                        cycles: run.report.cycles,
-                        steps,
-                    });
-                    TaskOutcome::Agg(Box::new(MorselOutcome {
-                        shard: morsel.shard,
-                        lo: morsel.lo,
-                        worker: id,
-                        home: job.homes[morsel.shard],
-                        stolen,
-                        run,
-                        trace,
-                    }))
+                        queue_wait_ns,
+                    )))
                 }
                 Task::Join(morsel) => TaskOutcome::Join(morsel.run(stolen)),
             }));
@@ -820,6 +777,11 @@ fn worker_loop(id: usize, shared: &Shared, sim: SimConfig) {
             }
             shared.inflight.fetch_sub(1, Ordering::Relaxed);
             finish_task(&job, shared);
+            // On a host with more runnable threads than cores, peers
+            // woken for this job may still be waiting for a core: yield
+            // it between tasks so they get to steal, instead of this
+            // worker draining its whole deque alone.
+            std::thread::yield_now();
         }
     }
 }
@@ -904,7 +866,7 @@ mod tests {
     #[test]
     fn pooled_morsels_reproduce_the_whole_answer() {
         let p = plan(500);
-        let whole = Session::new().run_partial(&p);
+        let whole = Session::new().run_partial(&p, 0..p.rows(), None, None);
         let exec = Executor::new(
             ExecutorConfig {
                 workers: 3,
@@ -961,7 +923,9 @@ mod tests {
         assert!(stolen > 0, "idle workers stole from the hot shard");
         assert_eq!(
             merged_rows(&outcomes),
-            Session::new().run_partial(&p).partial
+            Session::new()
+                .run_partial(&p, 0..p.rows(), None, None)
+                .partial
         );
         assert_eq!(exec.stats().steals, stolen as u64);
     }
@@ -1019,7 +983,9 @@ mod tests {
         assert_eq!(outcomes.len(), 8);
         assert_eq!(
             merged_rows(&outcomes),
-            Session::new().run_partial(&p).partial
+            Session::new()
+                .run_partial(&p, 0..p.rows(), None, None)
+                .partial
         );
     }
 

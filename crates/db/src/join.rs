@@ -904,7 +904,7 @@ impl PreparedJoin {
         agg: &AggregateQuery,
     ) -> Result<QueryOutput, SqlError> {
         let cached = self.cached.as_ref().expect("refresh filled the cache");
-        let out = db.run_join_tail(&cached.plan.steps, agg, &cached.derived)?;
+        let out = db.run_join_tail(&cached.plan.steps, agg, &cached.derived, None)?;
         self.executions += 1;
         Ok(out)
     }

@@ -15,7 +15,7 @@
 //!   typed [`QueryPlan`] of [`PlanStep`]s, inspectable via
 //!   [`QueryPlan::explain`] — or a typed [`PlanError`];
 //! * [`Session`] — a long-lived execution context owning one
-//!   [`vagg_sim::Machine`]: `session.run(&plan)` executes plans
+//!   [`vagg_sim::Machine`]: `session.run(&plan, None)` executes plans
 //!   back-to-back on the same machine, reporting per-query cycle deltas;
 //! * [`filter`] — vectorised selection using Table III's comparison +
 //!   compress + popcount instructions;
@@ -127,8 +127,8 @@
 //! println!("{}", plan.explain()); // the typed plan, rendered
 //!
 //! let mut session = Session::new();
-//! let out = session.run(&plan);           // first query: cold machine
-//! let again = session.run(&plan);         // second query: same machine
+//! let out = session.run(&plan, None);     // first query: cold machine
+//! let again = session.run(&plan, None);   // second query: same machine
 //! assert_eq!(out.rows.len(), 3);
 //! assert_eq!(out.rows, again.rows);
 //! assert_eq!(session.queries_run(), 2);
@@ -184,6 +184,7 @@ pub mod ingest;
 pub mod join;
 pub mod keydict;
 pub mod metrics;
+mod morsel;
 pub mod plan;
 pub mod prepared;
 pub mod query;

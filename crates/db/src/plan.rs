@@ -300,6 +300,9 @@ impl PlanStep {
     }
 }
 
+/// One zone map entry: a `(lo, hi, min, max)` row range of a column.
+pub(crate) type Zone = (usize, usize, u32, u32);
+
 /// A planned query: the typed steps, the resolved algorithm decision,
 /// and shared (`Arc`) snapshots of the columns the session will stage.
 ///
@@ -346,7 +349,7 @@ pub struct QueryPlan {
     /// from [`crate::TableStats`], `None` for engine-direct or frozen
     /// plans. Morsel generators prune ranges the predicate provably
     /// fails (see [`crate::Predicate::excludes_range`]).
-    pub(crate) zones: Option<Arc<[(usize, usize, u32, u32)]>>,
+    pub(crate) zones: Option<Arc<[Zone]>>,
     /// How many zone maps the planned table kept at plan time (0 = no
     /// zone maps, e.g. engine-direct plans); rendered by
     /// [`QueryPlan::explain`].
@@ -426,7 +429,7 @@ impl QueryPlan {
 
     /// The WHERE column's zone ranges, when the plan carries both a
     /// filter and stamped zone maps.
-    pub(crate) fn filter_zones(&self) -> Option<&[(usize, usize, u32, u32)]> {
+    pub(crate) fn filter_zones(&self) -> Option<&[Zone]> {
         match (&self.zones, &self.query.filter) {
             (Some(z), Some(_)) => Some(z),
             _ => None,

@@ -23,12 +23,13 @@
 //! by [`PreparedStatement::replans`]).
 
 use crate::catalogue::{CatalogueId, SharedCatalogue};
-use crate::database::{Database, SqlError};
+use crate::database::{Database, ReadQuery, SqlError};
 use crate::engine::QueryOutput;
 use crate::plan::{PlanError, QueryPlan};
 use crate::query::AggregateQuery;
 use crate::snapshot::Snapshot;
 use crate::sql::{parse_template, ParamSlot, SqlTemplate};
+use crate::trace::{AnalyzedQuery, QueryTrace};
 use std::sync::Arc;
 
 /// A statement planned once and executed many times with bound
@@ -182,7 +183,7 @@ impl PreparedStatement {
         // or ad hoc — to the transaction's snapshot.
         let plan = self.bound_plan_at(db.catalogue(), db.txn_snapshot(), params)?;
         self.executions += 1;
-        Ok(db.run_plan(&plan))
+        db.read(ReadQuery::Plan(&plan), None, None)
     }
 
     /// Binds `params` and executes on `db`'s session **at a pinned
@@ -208,7 +209,7 @@ impl PreparedStatement {
     ) -> Result<QueryOutput, SqlError> {
         let plan = self.bound_plan_at(db.catalogue(), Some(snap), params)?;
         self.executions += 1;
-        Ok(db.run_plan(&plan))
+        db.read(ReadQuery::Plan(&plan), None, None)
     }
 
     /// Binds `params` and executes with tracing on — the prepared
@@ -225,26 +226,19 @@ impl PreparedStatement {
         &mut self,
         db: &mut Database,
         params: &[u64],
-    ) -> Result<crate::AnalyzedQuery, SqlError> {
+    ) -> Result<AnalyzedQuery, SqlError> {
         let plan = self.bound_plan_at(db.catalogue(), db.txn_snapshot(), params)?;
         self.executions += 1;
-        Ok(db.run_plan_traced(&plan))
+        let mut trace = QueryTrace::new(plan.sql());
+        let output = db.read(ReadQuery::Plan(&plan), None, Some(&mut trace))?;
+        Ok(AnalyzedQuery { output, trace })
     }
 
     /// Binds `params` and returns the executable plan without running
-    /// it — the shared half of [`PreparedStatement::execute`] and the
-    /// sharded execution path.
-    pub(crate) fn bound_plan(
-        &mut self,
-        catalogue: &SharedCatalogue,
-        params: &[u64],
-    ) -> Result<QueryPlan, SqlError> {
-        self.bound_plan_at(catalogue, None, params)
-    }
-
-    /// As [`PreparedStatement::bound_plan`], at an explicit snapshot
-    /// when one is given (else live — itself a snapshot-of-now inside
-    /// the catalogue).
+    /// it, at an explicit snapshot when one is given (else live —
+    /// itself a snapshot-of-now inside the catalogue) — the shared half
+    /// of [`PreparedStatement::execute`] and the sharded execution
+    /// path.
     pub(crate) fn bound_plan_at(
         &mut self,
         catalogue: &SharedCatalogue,

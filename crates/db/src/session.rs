@@ -13,21 +13,22 @@ use crate::filter::vector_filter;
 use crate::plan::{PlanStep, QueryPlan, ScanMode};
 use crate::query::{AggFn, AggregateQuery, OrderKey};
 use crate::trace::StepTrace;
+use std::ops::Range;
 use vagg_core::input::vector_max_scan;
 use vagg_core::{minmax_aggregate, PartialAggregate, StagedInput};
 use vagg_sim::{Machine, SimConfig};
 
-/// What [`Session::run_partial`] / [`Session::run_partial_range`]
-/// produced: the mergeable partial aggregate of the plan's
-/// *distributive* slice (WHERE + aggregation, no HAVING/ORDER BY/
-/// LIMIT), plus the usual per-query report.
+/// What [`Session::run_partial`] produced: the mergeable partial
+/// aggregate of the plan's *distributive* slice (WHERE + aggregation,
+/// no HAVING/ORDER BY/LIMIT) over one row range, plus the usual
+/// per-query report.
 ///
-/// A sharded front end runs the same plan on every shard — whole
-/// ([`Session::run_partial`]) or morsel by morsel
-/// ([`Session::run_partial_range`] on the [`crate::Executor`]'s
-/// workers) — folds the partials with [`PartialAggregate::merge`], and
-/// finalises the non-distributive tail once on the merged result (see
-/// [`crate::ShardedDatabase`]).
+/// The morsel coordinator runs every populated plan morsel by morsel —
+/// on the [`crate::Executor`]'s workers for a
+/// [`crate::ShardedDatabase`], inline on the caller's session for a
+/// cancellable [`crate::Database`] read — folds the partials with
+/// [`PartialAggregate::merge`], and finalises the non-distributive
+/// tail once on the merged result.
 #[derive(Debug, Clone)]
 pub struct PartialRun {
     /// The mergeable COUNT/SUM (+ optional MIN/MAX) columns.
@@ -36,10 +37,9 @@ pub struct PartialRun {
     /// for composite GROUP BY; empty for single-column grouping. The
     /// trailing entries (`key_domains[1..]`) decompose this partial's
     /// fused keys on readback. Note the domains are measured from
-    /// *this* run's input rows, so fused keys are only comparable
-    /// across partials that measured identical domains — the sharded
-    /// path re-keys them through a shared [`crate::KeyDictionary`]
-    /// instead of comparing them raw.
+    /// *this* run's input rows (or forced by the caller), so fused keys
+    /// are only comparable across partials keyed with identical
+    /// domains — the morsel coordinator forces one shared set.
     pub key_domains: Vec<u32>,
     /// The executed distributive steps and their cycle cost.
     pub report: ExecutionReport,
@@ -55,6 +55,37 @@ struct Distributive {
     skipped: bool,
 }
 
+impl Distributive {
+    /// No row reached aggregation: an empty partial of the plan's
+    /// family (with MIN/MAX columns when the query needs them), marked
+    /// skipped in the trace.
+    fn skipped(
+        plan: &QueryPlan,
+        key_domains: Vec<u32>,
+        trace: Option<&mut Vec<StepTrace>>,
+    ) -> Self {
+        if let Some(t) = trace {
+            t.push(StepTrace {
+                step: PlanStep::AggregateSkipped,
+                rows_in: 0,
+                rows_out: 0,
+                cycles: 0,
+            });
+        }
+        Distributive {
+            base: vagg_core::AggResult {
+                groups: Vec::new(),
+                counts: Vec::new(),
+                sums: Vec::new(),
+            },
+            mm: plan.query.needs_minmax().then(|| (Vec::new(), Vec::new())),
+            rows_aggregated: 0,
+            key_domains,
+            skipped: true,
+        }
+    }
+}
+
 /// A long-lived query-execution context: one simulated machine serving
 /// many plans.
 ///
@@ -67,8 +98,8 @@ struct Distributive {
 /// let plan = Engine::new().plan(&t, &AggregateQuery::paper("g", "v"))?;
 ///
 /// let mut session = Session::new();
-/// let first = session.run(&plan);
-/// let second = session.run(&plan); // same machine, warm caches
+/// let first = session.run(&plan, None);
+/// let second = session.run(&plan, None); // same machine, warm caches
 /// assert_eq!(first.rows, second.rows);
 /// assert_eq!(session.queries_run(), 2);
 /// # Ok::<(), vagg_db::PlanError>(())
@@ -125,30 +156,15 @@ impl Session {
     /// Executes a plan, returning the rows and a report whose `cycles`
     /// are this query's delta (reuse does not double-charge).
     ///
-    /// Execution is infallible: every error condition is typed and
-    /// rejected at plan time by [`crate::Engine::plan`].
-    pub fn run(&mut self, plan: &QueryPlan) -> QueryOutput {
-        self.run_with(plan, None)
-    }
-
-    /// Executes a plan exactly like [`Session::run`] while recording a
-    /// [`StepTrace`] per executed step (rows in/out and the simulated
-    /// cycle delta of each phase).
-    ///
+    /// With `trace` set, a [`StepTrace`] is recorded per executed step
+    /// (rows in/out and the simulated cycle delta of each phase).
     /// Tracing only *reads* the cycle counter and host-side lengths, so
     /// the returned output is bit-identical to the untraced run — the
     /// property `EXPLAIN ANALYZE` relies on.
-    pub fn run_traced(&mut self, plan: &QueryPlan) -> (QueryOutput, Vec<StepTrace>) {
-        let mut steps = Vec::new();
-        let out = self.run_with(plan, Some(&mut steps));
-        (out, steps)
-    }
-
-    fn run_with(
-        &mut self,
-        plan: &QueryPlan,
-        mut trace: Option<&mut Vec<StepTrace>>,
-    ) -> QueryOutput {
+    ///
+    /// Execution is infallible: every error condition is typed and
+    /// rejected at plan time by [`crate::Engine::plan`].
+    pub fn run(&mut self, plan: &QueryPlan, mut trace: Option<&mut Vec<StepTrace>>) -> QueryOutput {
         let start_cycles = self.machine.cycles();
         let d = self.run_distributive(plan, 0, plan.rows, trace.as_deref_mut(), None);
         let n = plan.rows;
@@ -173,17 +189,14 @@ impl Session {
         if let Some(h) = &plan.query.having {
             let (before, c0) = (base.len(), m.cycles());
             (base, mm) = apply_having(m, h, base, mm);
-            if let Some(t) = trace.as_deref_mut() {
-                if let Some(step) = find_step(plan, |s| matches!(s, PlanStep::VectorHaving { .. }))
-                {
-                    t.push(StepTrace {
-                        step,
-                        rows_in: before as u64,
-                        rows_out: base.len() as u64,
-                        cycles: m.cycles() - c0,
-                    });
-                }
-            }
+            let having = |s: &PlanStep| matches!(s, PlanStep::VectorHaving { .. });
+            record(
+                &mut trace,
+                plan,
+                having,
+                (before, base.len()),
+                m.cycles() - c0,
+            );
         }
 
         // ORDER BY: stable vectorised radix sort of the output rows by
@@ -191,28 +204,12 @@ impl Session {
         if let Some(ob) = &plan.query.order_by {
             let (before, c0) = (base.len(), m.cycles());
             (base, mm) = apply_order_by(m, ob, base, mm);
-            if let Some(t) = trace {
-                let cycles = m.cycles() - c0;
-                if let Some(step) = find_step(plan, |s| matches!(s, PlanStep::VectorOrderBy { .. }))
-                {
-                    // The sort permutes without dropping rows; LIMIT
-                    // truncates afterwards (and costs no cycles).
-                    t.push(StepTrace {
-                        step,
-                        rows_in: before as u64,
-                        rows_out: before as u64,
-                        cycles,
-                    });
-                }
-                if let Some(step) = find_step(plan, |s| matches!(s, PlanStep::Limit(_))) {
-                    t.push(StepTrace {
-                        step,
-                        rows_in: before as u64,
-                        rows_out: base.len() as u64,
-                        cycles: 0,
-                    });
-                }
-            }
+            // The sort permutes without dropping rows; LIMIT truncates
+            // afterwards (and costs no cycles).
+            let sort = |s: &PlanStep| matches!(s, PlanStep::VectorOrderBy { .. });
+            record(&mut trace, plan, sort, (before, before), m.cycles() - c0);
+            let limit = |s: &PlanStep| matches!(s, PlanStep::Limit(_));
+            record(&mut trace, plan, limit, (before, base.len()), 0);
         }
 
         let rows = assemble_rows(
@@ -238,109 +235,52 @@ impl Session {
 
     /// Executes only the *distributive* slice of a plan — WHERE
     /// selection plus aggregation, skipping any HAVING/ORDER BY/LIMIT
-    /// tail — and returns the mergeable [`PartialAggregate`] instead
-    /// of assembled rows.
+    /// tail — over the row range `rows` of its staged columns, and
+    /// returns the mergeable [`PartialAggregate`] instead of assembled
+    /// rows.
     ///
-    /// This is the per-shard entry point: COUNT/SUM/MIN/MAX partials
-    /// computed over disjoint row partitions fold into the whole-table
-    /// answer with [`PartialAggregate::merge`], and the coordinator
-    /// finalises the tail once on the merged result (see
-    /// [`crate::ShardedDatabase`]).
-    pub fn run_partial(&mut self, plan: &QueryPlan) -> PartialRun {
-        self.run_partial_range(plan, 0, plan.rows)
-    }
-
-    /// Executes the distributive slice of a plan over the row range
-    /// `lo..hi` of its staged columns — one *morsel* of the plan. A
-    /// range partial merges with the other ranges' partials exactly
-    /// like per-shard partials do, so a shard's work can be split into
-    /// stealable units (see [`crate::Executor`]) without changing any
-    /// result: `merge(run_partial_range(0..k), run_partial_range(k..n))
-    /// == run_partial(plan).partial` for every split point.
+    /// This is the per-morsel entry point: COUNT/SUM/MIN/MAX partials
+    /// computed over disjoint row ranges fold into the whole-table
+    /// answer with [`PartialAggregate::merge`] at any split point —
+    /// `merge(run_partial(0..k), run_partial(k..n)) ==
+    /// run_partial(0..n)` — and the morsel coordinator finalises the
+    /// tail once on the merged result (see [`crate::ShardedDatabase`]).
+    /// The report's `cycles` cover this range only and `cpt` divides
+    /// by the range's rows, so morsel costs add up to the whole-plan
+    /// cost.
     ///
-    /// The report's `cycles` cover this range only and `cpt` divides by
-    /// the range's rows, so morsel costs add up to the whole-plan cost.
-    ///
-    /// # Panics
-    ///
-    /// If `lo..hi` is not a sub-range of `0..plan.rows()`.
-    pub fn run_partial_range(&mut self, plan: &QueryPlan, lo: usize, hi: usize) -> PartialRun {
-        self.run_partial_range_with(plan, lo, hi, None, None)
-    }
-
-    /// [`Session::run_partial_range`] with the composite key domains
-    /// *forced* instead of measured — the sharded coordinator's fast
-    /// path. The caller supplies the global per-column domains (the
-    /// elementwise maximum of every shard plan's statistics, primary
-    /// first); fusion multiplies by these fixed radices and skips the
-    /// per-column max scans, so every morsel of every shard keys its
-    /// partial in one shared fused space and partials merge directly —
-    /// no dictionary remap. Forcing the exact whole-input domains
-    /// reproduces the keys a single session would measure over the same
-    /// rows, so results stay bit-identical (fusion is positional:
-    /// `key = ((g₀·d₁ + g₁)·d₂ + g₂)…` for any consistent dᵢ that
-    /// bound every value).
+    /// `domains` *forces* the composite key domains instead of
+    /// measuring them — the coordinator's fast path. The caller
+    /// supplies the global per-column domains (the elementwise maximum
+    /// of every populated plan's statistics, primary first); fusion
+    /// multiplies by these fixed radices and skips the per-column max
+    /// scans, so every morsel keys its partial in one shared fused
+    /// space and partials merge directly. Forcing the exact
+    /// whole-input domains reproduces the keys a single session would
+    /// measure over the same rows, so results stay bit-identical
+    /// (fusion is positional: `key = ((g₀·d₁ + g₁)·d₂ + g₂)…` for any
+    /// consistent dᵢ that bound every value). `trace` records per-step
+    /// spans with the same bit-identity guarantee as [`Session::run`].
     ///
     /// # Panics
     ///
-    /// If `lo..hi` escapes the plan, or `domains` does not match the
-    /// plan's grouping column count.
-    pub fn run_partial_range_forced(
+    /// If `rows` is not a sub-range of `0..plan.rows()`, or `domains`
+    /// does not match the plan's grouping column count.
+    pub fn run_partial(
         &mut self,
         plan: &QueryPlan,
-        lo: usize,
-        hi: usize,
-        domains: &[u64],
-    ) -> PartialRun {
-        self.run_partial_range_with(plan, lo, hi, None, Some(domains))
-    }
-
-    /// [`Session::run_partial_range_forced`] with per-step tracing.
-    pub fn run_partial_range_forced_traced(
-        &mut self,
-        plan: &QueryPlan,
-        lo: usize,
-        hi: usize,
-        domains: &[u64],
-    ) -> (PartialRun, Vec<StepTrace>) {
-        let mut steps = Vec::new();
-        let run = self.run_partial_range_with(plan, lo, hi, Some(&mut steps), Some(domains));
-        (run, steps)
-    }
-
-    /// [`Session::run_partial_range`] with per-step tracing — the morsel
-    /// entry point of `EXPLAIN ANALYZE`. Same bit-identity guarantee as
-    /// [`Session::run_traced`].
-    ///
-    /// # Panics
-    ///
-    /// If `lo..hi` is not a sub-range of `0..plan.rows()`.
-    pub fn run_partial_range_traced(
-        &mut self,
-        plan: &QueryPlan,
-        lo: usize,
-        hi: usize,
-    ) -> (PartialRun, Vec<StepTrace>) {
-        let mut steps = Vec::new();
-        let run = self.run_partial_range_with(plan, lo, hi, Some(&mut steps), None);
-        (run, steps)
-    }
-
-    fn run_partial_range_with(
-        &mut self,
-        plan: &QueryPlan,
-        lo: usize,
-        hi: usize,
+        rows: Range<usize>,
+        domains: Option<&[u64]>,
         trace: Option<&mut Vec<StepTrace>>,
-        forced: Option<&[u64]>,
     ) -> PartialRun {
+        let Range { start: lo, end: hi } = rows;
         assert!(
             lo <= hi && hi <= plan.rows,
             "morsel {lo}..{hi} escapes the plan's {} rows",
             plan.rows
         );
         let start_cycles = self.machine.cycles();
-        let d = self.run_distributive(plan, lo, hi, trace, forced);
+        let d = self.run_distributive(plan, lo, hi, trace, domains);
         let cycles = self.machine.cycles() - start_cycles;
         let steps = if d.skipped {
             skipped_steps(plan)
@@ -388,25 +328,7 @@ impl Session {
         let m = &mut self.machine;
         let n = hi - lo;
         if n == 0 {
-            if let Some(t) = trace.as_deref_mut() {
-                t.push(StepTrace {
-                    step: PlanStep::AggregateSkipped,
-                    rows_in: 0,
-                    rows_out: 0,
-                    cycles: 0,
-                });
-            }
-            return Distributive {
-                base: vagg_core::AggResult {
-                    groups: Vec::new(),
-                    counts: Vec::new(),
-                    sums: Vec::new(),
-                },
-                mm: plan.query.needs_minmax().then(|| (Vec::new(), Vec::new())),
-                rows_aggregated: 0,
-                key_domains: Vec::new(),
-                skipped: true,
-            };
+            return Distributive::skipped(plan, Vec::new(), trace);
         }
 
         // Composite GROUP BY: fuse the grouping columns into one key per
@@ -422,16 +344,8 @@ impl Session {
                 cols.push(&col[lo..hi]);
             }
             let (fused, domains) = fuse_group_columns(m, &cols, forced);
-            if let Some(t) = trace.as_deref_mut() {
-                if let Some(step) = find_step(plan, |s| matches!(s, PlanStep::FuseKeys { .. })) {
-                    t.push(StepTrace {
-                        step,
-                        rows_in: n as u64,
-                        rows_out: n as u64,
-                        cycles: m.cycles() - c0,
-                    });
-                }
-            }
+            let fuse = |s: &PlanStep| matches!(s, PlanStep::FuseKeys { .. });
+            record(&mut trace, plan, fuse, (n, n), m.cycles() - c0);
             (Some(fused), domains)
         };
         let g: &[u32] = g_fused.as_deref().unwrap_or(&plan.group[lo..hi]);
@@ -450,38 +364,12 @@ impl Session {
             let gd = m.space_mut().alloc(4 * n as u64, 64);
             let vd = m.space_mut().alloc(4 * n as u64, 64);
             let kept = vector_filter(m, ws, n, *pred, &[(gs, gd), (vs, vd)]);
+            let filter = |s: &PlanStep| matches!(s, PlanStep::VectorFilter { .. });
+            record(&mut trace, plan, filter, (n, kept), m.cycles() - stage0);
             if kept == 0 {
-                if let Some(t) = trace.as_deref_mut() {
-                    if let Some(step) =
-                        find_step(plan, |s| matches!(s, PlanStep::VectorFilter { .. }))
-                    {
-                        t.push(StepTrace {
-                            step,
-                            rows_in: n as u64,
-                            rows_out: 0,
-                            cycles: m.cycles() - stage0,
-                        });
-                    }
-                    t.push(StepTrace {
-                        step: PlanStep::AggregateSkipped,
-                        rows_in: 0,
-                        rows_out: 0,
-                        cycles: 0,
-                    });
-                }
                 // Nothing survived: no aggregation algorithm runs at
-                // all, and the partial is empty (of the right family).
-                return Distributive {
-                    base: vagg_core::AggResult {
-                        groups: Vec::new(),
-                        counts: Vec::new(),
-                        sums: Vec::new(),
-                    },
-                    mm: plan.query.needs_minmax().then(|| (Vec::new(), Vec::new())),
-                    rows_aggregated: 0,
-                    key_domains,
-                    skipped: true,
-                };
+                // all.
+                return Distributive::skipped(plan, key_domains, trace);
             }
             // Compaction preserves relative order, so a sorted column
             // stays sorted through the filter.
@@ -493,17 +381,6 @@ impl Session {
                 n: kept,
                 presorted: plan.presorted,
             };
-            if let Some(t) = trace.as_deref_mut() {
-                if let Some(step) = find_step(plan, |s| matches!(s, PlanStep::VectorFilter { .. }))
-                {
-                    t.push(StepTrace {
-                        step,
-                        rows_in: n as u64,
-                        rows_out: kept as u64,
-                        cycles: m.cycles() - stage0,
-                    });
-                }
-            }
             (staged, kept)
         } else {
             (StagedInput::stage_raw(m, g, v, plan.presorted), n)
@@ -531,16 +408,9 @@ impl Session {
             }
         }
         let agg0 = m.cycles();
-        if let Some(t) = trace.as_deref_mut() {
-            if let Some(step) = find_step(plan, |s| matches!(s, PlanStep::CardinalityScan { .. })) {
-                t.push(StepTrace {
-                    step,
-                    rows_in: rows_aggregated as u64,
-                    rows_out: rows_aggregated as u64,
-                    cycles: agg0 - scan0,
-                });
-            }
-        }
+        let scan = |s: &PlanStep| matches!(s, PlanStep::CardinalityScan { .. });
+        let survivors = (rows_aggregated, rows_aggregated);
+        record(&mut trace, plan, scan, survivors, agg0 - scan0);
 
         // Aggregate.
         let (base, mm) = if plan.query.needs_minmax() {
@@ -550,18 +420,9 @@ impl Session {
             let (result, _) = plan.algorithm.execute(m, &input);
             (result, None)
         };
-        if let Some(t) = trace {
-            if let Some(step) = find_step(plan, |s| {
-                matches!(s, PlanStep::Aggregate(_) | PlanStep::MinMaxKernel)
-            }) {
-                t.push(StepTrace {
-                    step,
-                    rows_in: rows_aggregated as u64,
-                    rows_out: base.len() as u64,
-                    cycles: m.cycles() - agg0,
-                });
-            }
-        }
+        let kernel = |s: &PlanStep| matches!(s, PlanStep::Aggregate(_) | PlanStep::MinMaxKernel);
+        let groups = (rows_aggregated, base.len());
+        record(&mut trace, plan, kernel, groups, m.cycles() - agg0);
 
         Distributive {
             base,
@@ -596,10 +457,28 @@ fn skipped_steps(plan: &QueryPlan) -> Vec<PlanStep> {
     steps
 }
 
-// The cloned plan step matching `pred`, for trace records. Planned
-// steps are unique per kind, so the first match is the step.
-fn find_step(plan: &QueryPlan, pred: impl Fn(&PlanStep) -> bool) -> Option<PlanStep> {
-    plan.steps.iter().find(|s| pred(s)).cloned()
+// Records one executed step's span when tracing: the planned step
+// matching `pred` (planned steps are unique per kind, so the first
+// match is the step) with its observed (rows in, rows out) and cycle
+// delta.
+fn record(
+    trace: &mut Option<&mut Vec<StepTrace>>,
+    plan: &QueryPlan,
+    pred: impl Fn(&PlanStep) -> bool,
+    (rows_in, rows_out): (usize, usize),
+    cycles: u64,
+) {
+    let Some(t) = trace.as_deref_mut() else {
+        return;
+    };
+    if let Some(step) = plan.steps.iter().find(|s| pred(s)).cloned() {
+        t.push(StepTrace {
+            step,
+            rows_in: rows_in as u64,
+            rows_out: rows_out as u64,
+            cycles,
+        });
+    }
 }
 
 // The distributive prefix of the planned steps: everything up to and
@@ -857,9 +736,9 @@ mod tests {
 
         let mut session = Session::new();
         assert_eq!(session.queries_run(), 0);
-        let first = session.run(&plan);
+        let first = session.run(&plan, None);
         let after_first = session.total_cycles();
-        let second = session.run(&plan);
+        let second = session.run(&plan, None);
 
         assert_eq!(session.queries_run(), 2);
         assert_eq!(first.rows, second.rows);
@@ -884,10 +763,10 @@ mod tests {
             .plan(&t, &AggregateQuery::paper("g", "v"))
             .unwrap();
         let mut session = Session::new();
-        session.run(&plan);
+        session.run(&plan, None);
         let after_one = session.machine().space().resident_pages();
         for _ in 0..20 {
-            session.run(&plan);
+            session.run(&plan, None);
         }
         assert_eq!(session.machine().space().resident_pages(), after_one);
     }
@@ -897,9 +776,9 @@ mod tests {
         let t = people();
         let q = AggregateQuery::paper("g", "v");
         let engine = Engine::new();
-        let via_execute = engine.execute(&t, &q).unwrap();
         let plan = engine.plan(&t, &q).unwrap();
-        let via_session = Session::new().run(&plan);
+        let via_execute = Session::with_config(engine.config().clone()).run(&plan, None);
+        let via_session = Session::new().run(&plan, None);
         assert_eq!(via_execute.rows, via_session.rows);
         assert_eq!(via_execute.report.cycles, via_session.report.cycles);
         assert_eq!(via_execute.report.algorithm, via_session.report.algorithm);
@@ -918,8 +797,8 @@ mod tests {
             )
             .unwrap();
         let mut session = Session::new();
-        let full = session.run(&p1);
-        let having = session.run(&p2);
+        let full = session.run(&p1, None);
+        let having = session.run(&p2, None);
         assert_eq!(full.rows.len(), 6);
         let groups: Vec<u32> = having.rows.iter().map(|r| r.group).collect();
         assert_eq!(groups, vec![0, 3]);
@@ -933,7 +812,7 @@ mod tests {
             .with_limit(2);
         let plan = Engine::new().plan(&t, &q).unwrap();
         let mut session = Session::new();
-        let pr = session.run_partial(&plan);
+        let pr = session.run_partial(&plan, 0..plan.rows(), None, None);
         // Pre-HAVING: all six groups are present in the partial.
         assert_eq!(pr.partial.len(), 6);
         assert!(pr.key_domains.is_empty());
@@ -966,14 +845,16 @@ mod tests {
                     &q,
                 )
                 .unwrap(),
+            None,
         );
 
         let half = |lo: usize, hi: usize| {
             let t = Table::new("r")
                 .with_column("g", g[lo..hi].to_vec())
                 .with_column("v", v[lo..hi].to_vec());
+            let plan = engine.plan(&t, &q).unwrap();
             Session::new()
-                .run_partial(&engine.plan(&t, &q).unwrap())
+                .run_partial(&plan, 0..plan.rows(), None, None)
                 .partial
         };
         let merged = half(0, 4).merge(half(4, 8));
@@ -993,10 +874,10 @@ mod tests {
             .with_filter("v", crate::filter::Predicate::GreaterThan(0));
         let plan = Engine::new().plan(&t, &q).unwrap();
         let mut session = Session::new();
-        let whole = session.run_partial(&plan);
+        let whole = session.run_partial(&plan, 0..plan.rows(), None, None);
         for split in 0..=plan.rows() {
-            let left = session.run_partial_range(&plan, 0, split);
-            let right = session.run_partial_range(&plan, split, plan.rows());
+            let left = session.run_partial(&plan, 0..split, None, None);
+            let right = session.run_partial(&plan, split..plan.rows(), None, None);
             assert_eq!(
                 left.partial.merge(right.partial),
                 whole.partial,
@@ -1004,7 +885,7 @@ mod tests {
             );
         }
         // Range reports charge the range, not the whole plan.
-        let half = session.run_partial_range(&plan, 0, 4);
+        let half = session.run_partial(&plan, 0..4, None, None);
         assert!(half.report.cycles > 0);
         assert!((half.report.cpt - half.report.cycles as f64 / 4.0).abs() < 1e-12);
     }
@@ -1020,8 +901,8 @@ mod tests {
         let q = AggregateQuery::paper("a", "v").with_group_by_also("b");
         let plan = Engine::new().plan(&t, &q).unwrap();
         let mut session = Session::new();
-        let lo_half = session.run_partial_range(&plan, 0, 3);
-        let hi_half = session.run_partial_range(&plan, 3, 6);
+        let lo_half = session.run_partial(&plan, 0..3, None, None);
+        let hi_half = session.run_partial(&plan, 3..6, None, None);
         // First half sees b ∈ {9, 1} (domain 10), second b ∈ {3, 0}
         // (domain 4): locally consistent, globally incomparable.
         assert_eq!(lo_half.key_domains, vec![2, 10]);
@@ -1044,7 +925,7 @@ mod tests {
         let plan = Engine::new()
             .plan(&people(), &AggregateQuery::paper("g", "v"))
             .unwrap();
-        let _ = Session::new().run_partial_range(&plan, 4, 9);
+        let _ = Session::new().run_partial(&plan, 4..9, None, None);
     }
 
     #[test]

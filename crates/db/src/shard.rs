@@ -14,21 +14,22 @@
 //! 1. **plan** the query on every non-empty shard (each shard's plan
 //!    cache and adaptive §V-D choice apply to *its* partition);
 //! 2. **execute** each plan's distributive slice as fixed-size
-//!    *morsels* (row ranges run via
-//!    [`crate::Session::run_partial_range`]) on the pooled workers —
-//!    idle workers steal a skewed shard's tail instead of waiting, and
-//!    every morsel still runs the algorithm its *shard's* statistics
-//!    picked;
+//!    *morsels* (row ranges run via [`crate::Session::run_partial`])
+//!    on the pooled workers — idle workers steal a skewed shard's tail
+//!    instead of waiting, and every morsel still runs the algorithm its
+//!    *shard's* statistics picked;
 //! 3. **merge** the [`vagg_core::PartialAggregate`]s (COUNT/SUM add,
 //!    MIN/MAX combine) and finalise the non-distributive tail —
 //!    HAVING, ORDER BY, LIMIT — once on the coordinator.
 //!
-//! Composite `GROUP BY` shards too: fused keys are measured per input,
-//! so raw partials would not be comparable across shards — instead the
-//! workers re-key every partial through a query-scoped, cooperatively
-//! built [`KeyDictionary`] (tuple → dense id), the coordinator merges
-//! by dense id, and resolves ids back to globally fused keys once on
-//! the merged (small) output. The answer matches a single session's
+//! Phases 2 and 3 are the morsel coordinator that
+//! [`Database::run_sql_cancellable`] runs inline too; only the runner
+//! (the pool here) differs.
+//!
+//! Composite `GROUP BY` shards too: every morsel fuses its keys with
+//! the elementwise maximum of the shard plans' exact per-column key
+//! domains — forced, not measured — so all partials share one fused
+//! key space and merge directly. The answer matches a single session's
 //! bit for bit, including `HAVING`/`ORDER BY`/`LIMIT` tails.
 //!
 //! The write path shards too: [`ShardedDatabase::append_rows`] /
@@ -56,7 +57,7 @@ use crate::database::ExplainOutput;
 use crate::database::{Database, MutationReceipt, SqlError};
 use crate::delta::TableStats;
 use crate::engine::{Engine, ExecutionReport, QueryOutput, Row};
-use crate::executor::{Executor, ExecutorConfig, ExecutorError, ExecutorStats, Morsel, MorselOutcome};
+use crate::executor::{Executor, ExecutorConfig, ExecutorError, ExecutorStats};
 use crate::filter::Predicate;
 use crate::ingest::{CompactionPolicy, RowBatch};
 use crate::join::{
@@ -64,22 +65,20 @@ use crate::join::{
     JoinPlan, JoinStrategy, JoinWork,
 };
 use crate::metrics::{MetricsSnapshot, SlowQuery};
+use crate::morsel;
 use crate::plan::{PlanError, PlanStep, QueryPlan};
 use crate::prepared::PreparedStatement;
-use crate::query::{AggregateQuery, Having, OrderBy, OrderKey};
+use crate::query::AggregateQuery;
 use crate::recovery;
-use crate::session::agg_column;
-use crate::session::assemble_rows;
 use crate::snapshot::{Snapshot, SnapshotStats};
 use crate::sql::SqlQuery;
 use crate::sql::{parse_statement, parse_template, Statement};
 use crate::table::Table;
-use crate::trace::{QueryTrace, WorkerRollup};
+use crate::trace::QueryTrace;
 use crate::wal::{self, WalError, WalRecord, WalWriter};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use vagg_core::{AggResult, PartialAggregate};
 use vagg_sim::SimConfig;
 
 /// A row-partitioned database: one coordinator over N shard catalogues
@@ -147,7 +146,7 @@ pub struct ShardedOutput {
     /// clause demands) — identical to a single-session execution for
     /// the distributive aggregates COUNT/SUM/MIN/MAX (and AVG, which
     /// falls out of SUM/COUNT on readback), including composite
-    /// `GROUP BY` (merged through the query's [`KeyDictionary`]).
+    /// `GROUP BY` (merged in one shared fused key space).
     pub rows: Vec<Row>,
     /// The coordinator's view: `cycles` is the *makespan* (the most
     /// loaded executor worker — the workers run in parallel),
@@ -856,12 +855,12 @@ impl ShardedDatabase {
     ///
     /// As [`Database::run_sql`], plus [`SqlError::ExplainStatement`]
     /// for `EXPLAIN` and [`SqlError::InsertStatement`] for `INSERT`.
-    /// Composite `GROUP BY` shards like any other query (merged through
-    /// the query's [`KeyDictionary`]); only a *global* fused-key domain
+    /// Composite `GROUP BY` shards like any other query (merged in one
+    /// shared fused key space); only a *global* fused-key domain
     /// exceeding the 32-bit key space is rejected, with the same typed
     /// [`PlanError::CompositeKeyOverflow`] a single session reports.
     pub fn run_sql(&mut self, sql: &str) -> Result<ShardedOutput, SqlError> {
-        self.run_sql_governed(sql, None)
+        self.run_sql_governed(sql, None, None)
     }
 
     /// [`ShardedDatabase::run_sql`] under a [`CancelToken`]: the
@@ -880,46 +879,39 @@ impl ShardedDatabase {
         sql: &str,
         token: &CancelToken,
     ) -> Result<ShardedOutput, SqlError> {
-        self.run_sql_governed(sql, Some(token))
+        self.run_sql_governed(sql, None, Some(token))
     }
 
+    /// The one statement body behind [`ShardedDatabase::run_sql`],
+    /// [`ShardedDatabase::run_sql_cancellable`] (`snap` = `None`) and
+    /// [`ShardedDatabase::run_sql_at`] (`snap` = the pinned cut). The
+    /// typed rejections differ only in that a pinned cut refuses
+    /// every write as [`SqlError::ReadOnly`].
     fn run_sql_governed(
         &mut self,
         sql: &str,
+        snap: Option<&ShardedSnapshot>,
         cancel: Option<&CancelToken>,
     ) -> Result<ShardedOutput, SqlError> {
         let run = |db: &mut Self| match parse_statement(sql)? {
             Statement::Select(q) => {
-                if q.as_of.is_some() {
-                    return Err(SqlError::ShardedTimeTravel);
-                }
-                let out = if q.join.is_some() {
-                    // An atomic cross-shard cut: both join sides read
-                    // the same moment on every shard.
-                    let cut = db.snapshot();
-                    db.run_join_cut(&cut, &q, None, cancel)?
-                } else {
-                    db.run_query(&q.table, &q.query, None, cancel)?
-                };
+                let out = db.read(&q, snap, None, cancel)?;
                 db.note_query(sql, &out);
                 Ok(out)
             }
             Statement::ExplainAnalyze(q) => {
-                if q.as_of.is_some() {
-                    return Err(SqlError::ShardedTimeTravel);
-                }
                 let mut trace = QueryTrace::new(sql.trim().to_string());
-                let mut out = if q.join.is_some() {
-                    let cut = db.snapshot();
-                    db.run_join_cut(&cut, &q, Some(&mut trace), cancel)?
-                } else {
-                    db.run_query(&q.table, &q.query, Some(&mut trace), cancel)?
-                };
+                let mut out = db.read(&q, snap, Some(&mut trace), cancel)?;
                 out.trace = Some(Box::new(trace));
                 db.note_query(sql, &out);
                 Ok(out)
             }
             Statement::Explain(_) => Err(SqlError::ExplainStatement),
+            Statement::Insert(_) | Statement::Delete(_) | Statement::Update(_)
+                if snap.is_some() =>
+            {
+                Err(SqlError::ReadOnly)
+            }
             Statement::Insert(_) => Err(SqlError::InsertStatement),
             Statement::Delete(_) | Statement::Update(_) => Err(SqlError::MutationStatement),
             Statement::CreateSnapshot(_) => Err(SqlError::ShardedTimeTravel),
@@ -974,51 +966,42 @@ impl ShardedDatabase {
         snap: &ShardedSnapshot,
         sql: &str,
     ) -> Result<ShardedOutput, SqlError> {
-        match parse_statement(sql)? {
-            Statement::Select(q) => {
-                let out = self.run_stmt_at(snap, &q, None)?;
-                self.note_query(sql, &out);
-                Ok(out)
-            }
-            Statement::ExplainAnalyze(q) => {
-                let mut trace = QueryTrace::new(sql.trim().to_string());
-                let mut out = self.run_stmt_at(snap, &q, Some(&mut trace))?;
-                out.trace = Some(Box::new(trace));
-                self.note_query(sql, &out);
-                Ok(out)
-            }
-            Statement::Explain(_) => Err(SqlError::ExplainStatement),
-            Statement::Insert(_) | Statement::Delete(_) | Statement::Update(_) => {
-                Err(SqlError::ReadOnly)
-            }
-            Statement::CreateSnapshot(_) => Err(SqlError::ShardedTimeTravel),
-            Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
-                Err(SqlError::TransactionStatement)
-            }
-        }
+        self.run_sql_governed(sql, Some(snap), None)
     }
 
-    /// The `SELECT`-at-snapshot body shared by the plain and
-    /// `EXPLAIN ANALYZE` arms of [`ShardedDatabase::run_sql_at`].
-    fn run_stmt_at(
+    /// The one `SELECT` body: a join reads at `snap` (or a fresh
+    /// atomic cut, so both join sides see the same moment on every
+    /// shard), a plain aggregate plans every shard at `snap` (or live).
+    fn read(
         &mut self,
-        snap: &ShardedSnapshot,
         q: &SqlQuery,
+        snap: Option<&ShardedSnapshot>,
         trace: Option<&mut QueryTrace>,
+        cancel: Option<&CancelToken>,
     ) -> Result<ShardedOutput, SqlError> {
         if q.as_of.is_some() {
             return Err(SqlError::ShardedTimeTravel);
         }
-        if q.join.is_some() {
-            self.check_snapshot(snap)?;
-            for (shard, cut) in self.shards.iter().zip(snap.shards.iter()) {
-                if !cut.catalogue().is_same(shard.catalogue()) {
-                    return Err(SqlError::ForeignSnapshot);
-                }
-            }
-            return self.run_join_cut(snap, q, trace, None);
+        if q.join.is_none() {
+            return self.run_query(&q.table, &q.query, snap, trace, cancel);
         }
-        self.run_query_at(snap, &q.table, &q.query, trace)
+        let owned;
+        let cut = match snap {
+            Some(snap) => {
+                self.check_snapshot(snap)?;
+                for (shard, cut) in self.shards.iter().zip(snap.shards.iter()) {
+                    if !cut.catalogue().is_same(shard.catalogue()) {
+                        return Err(SqlError::ForeignSnapshot);
+                    }
+                }
+                snap
+            }
+            None => {
+                owned = self.snapshot();
+                &owned
+            }
+        };
+        self.run_join_cut(cut, q, trace, cancel)
     }
 
     /// Plans a statement against the first non-empty shard's partition
@@ -1032,18 +1015,7 @@ impl ShardedDatabase {
     ///
     /// As [`Database::explain_sql`].
     pub fn explain_sql(&self, sql: &str) -> Result<ExplainOutput, SqlError> {
-        let q = match parse_statement(sql)? {
-            Statement::Select(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => q,
-            Statement::Insert(_) => return Err(SqlError::InsertStatement),
-            Statement::Delete(_) | Statement::Update(_) => return Err(SqlError::MutationStatement),
-            Statement::CreateSnapshot(_) => return Err(SqlError::ShardedTimeTravel),
-            Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
-                return Err(SqlError::TransactionStatement)
-            }
-        };
-        if q.as_of.is_some() {
-            return Err(SqlError::ShardedTimeTravel);
-        }
+        let q = parse_plannable(sql)?;
         if q.join.is_some() {
             let cut = self.snapshot();
             return Ok(ExplainOutput::Join(Box::new(self.plan_join_cut(&cut, &q)?)));
@@ -1071,18 +1043,7 @@ impl ShardedDatabase {
     /// [`SqlError::JoinStatement`] when the statement has no `JOIN`
     /// clause.
     pub fn explain_join_sql(&self, sql: &str) -> Result<JoinPlan, SqlError> {
-        let q = match parse_statement(sql)? {
-            Statement::Select(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => q,
-            Statement::Insert(_) => return Err(SqlError::InsertStatement),
-            Statement::Delete(_) | Statement::Update(_) => return Err(SqlError::MutationStatement),
-            Statement::CreateSnapshot(_) => return Err(SqlError::ShardedTimeTravel),
-            Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
-                return Err(SqlError::TransactionStatement)
-            }
-        };
-        if q.as_of.is_some() {
-            return Err(SqlError::ShardedTimeTravel);
-        }
+        let q = parse_plannable(sql)?;
         if q.join.is_none() {
             return Err(SqlError::JoinStatement);
         }
@@ -1135,35 +1096,7 @@ impl ShardedDatabase {
         stmt: &mut ShardedStatement,
         params: &[u64],
     ) -> Result<ShardedOutput, SqlError> {
-        if stmt.stmts.len() != self.shards.len() {
-            return Err(SqlError::ShardMismatch {
-                statement: stmt.stmts.len(),
-                database: self.shards.len(),
-            });
-        }
-        let mut query = None;
-        let mut plans: Vec<Option<QueryPlan>> = Vec::with_capacity(self.shards.len());
-        for (shard, prepared) in self.shards.iter().zip(stmt.stmts.iter_mut()) {
-            if shard.table(prepared.table()).is_some_and(|t| t.rows() > 0) {
-                let plan = prepared.bound_plan(shard.catalogue(), params)?;
-                query.get_or_insert_with(|| plan.query().clone());
-                plans.push(Some(plan));
-            } else {
-                query.get_or_insert(prepared.bind(params).map_err(SqlError::Plan)?);
-                plans.push(None);
-            }
-        }
-        // An entirely empty table cannot plan anywhere: fail exactly
-        // like `run_sql` does (also keeping unvalidated queries away
-        // from the coordinator tail — plan-time validation runs on
-        // populated shards only).
-        if plans.iter().all(Option::is_none) {
-            return Err(SqlError::Plan(PlanError::EmptyTable));
-        }
-        let query = query.expect("a populated shard bound the query");
-        let out = self.execute_plans(&query, plans, None, None)?;
-        stmt.executions += 1;
-        Ok(out)
+        self.execute_prepared_with(stmt, None, params)
     }
 
     /// Binds `params` on every shard's prepared statement **at an
@@ -1184,24 +1117,36 @@ impl ShardedDatabase {
         snap: &ShardedSnapshot,
         params: &[u64],
     ) -> Result<ShardedOutput, SqlError> {
+        self.execute_prepared_with(stmt, Some(snap), params)
+    }
+
+    /// The one prepared-execution body: binds every shard's statement
+    /// at its cut of `snap` (or live) and runs the populated plans.
+    fn execute_prepared_with(
+        &mut self,
+        stmt: &mut ShardedStatement,
+        snap: Option<&ShardedSnapshot>,
+        params: &[u64],
+    ) -> Result<ShardedOutput, SqlError> {
         if stmt.stmts.len() != self.shards.len() {
             return Err(SqlError::ShardMismatch {
                 statement: stmt.stmts.len(),
                 database: self.shards.len(),
             });
         }
-        self.check_snapshot(snap)?;
+        if let Some(snap) = snap {
+            self.check_snapshot(snap)?;
+        }
         let mut query = None;
         let mut plans: Vec<Option<QueryPlan>> = Vec::with_capacity(self.shards.len());
-        for ((shard, cut), prepared) in self
-            .shards
-            .iter()
-            .zip(snap.shards.iter())
-            .zip(stmt.stmts.iter_mut())
-        {
-            let populated = cut.table(prepared.table()).is_some_and(|t| t.rows() > 0);
-            if populated {
-                let plan = prepared.bound_plan_at(shard.catalogue(), Some(cut), params)?;
+        for (i, (shard, prepared)) in self.shards.iter().zip(stmt.stmts.iter_mut()).enumerate() {
+            let cut = snap.map(|s| &s.shards[i]);
+            let part = match cut {
+                Some(cut) => cut.table(prepared.table()),
+                None => shard.table(prepared.table()),
+            };
+            if part.is_some_and(|t| t.rows() > 0) {
+                let plan = prepared.bound_plan_at(shard.catalogue(), cut, params)?;
                 query.get_or_insert_with(|| plan.query().clone());
                 plans.push(Some(plan));
             } else {
@@ -1209,6 +1154,10 @@ impl ShardedDatabase {
                 plans.push(None);
             }
         }
+        // An entirely empty table cannot plan anywhere: fail exactly
+        // like `run_sql` does (also keeping unvalidated queries away
+        // from the coordinator tail — plan-time validation runs on
+        // populated shards only).
         if plans.iter().all(Option::is_none) {
             return Err(SqlError::Plan(PlanError::EmptyTable));
         }
@@ -1252,57 +1201,40 @@ impl ShardedDatabase {
         }
     }
 
+    /// Plans `query` on every populated shard — at its cut of `snap`
+    /// (every shard via [`crate::SharedCatalogue::plan_query_at`]), or
+    /// live — so errors surface before any morsel runs, then executes.
+    /// Unknown-table and all-empty detection runs against the same view:
+    /// a table registered after the snapshot does not exist in it.
     fn run_query(
         &mut self,
         table: &str,
         query: &AggregateQuery,
+        snap: Option<&ShardedSnapshot>,
         trace: Option<&mut QueryTrace>,
         cancel: Option<&CancelToken>,
     ) -> Result<ShardedOutput, SqlError> {
-        // Plan every populated shard up front so errors surface before
-        // any morsel runs.
-        self.first_populated_shard(table)?;
-        let plans = self
-            .shards
-            .iter()
-            .map(|shard| match shard.table(table) {
-                Some(t) if t.rows() > 0 => shard.catalogue().plan_query(table, query).map(Some),
-                _ => Ok(None),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if plans.iter().all(Option::is_none) {
-            return Err(SqlError::Plan(PlanError::EmptyTable));
+        if let Some(snap) = snap {
+            self.check_snapshot(snap)?;
         }
-        self.execute_plans(query, plans, trace, cancel)
-    }
-
-    /// [`ShardedDatabase::run_query`] at a pinned cross-shard cut:
-    /// every shard plans via
-    /// [`crate::SharedCatalogue::plan_query_at`] against its snapshot.
-    fn run_query_at(
-        &mut self,
-        snap: &ShardedSnapshot,
-        table: &str,
-        query: &AggregateQuery,
-        trace: Option<&mut QueryTrace>,
-    ) -> Result<ShardedOutput, SqlError> {
-        self.check_snapshot(snap)?;
-        // Unknown-table / all-empty detection runs against the *cut*:
-        // a table registered after the snapshot does not exist here.
         let mut seen = false;
         let mut plans: Vec<Option<QueryPlan>> = Vec::with_capacity(self.shards.len());
-        for (shard, cut) in self.shards.iter().zip(snap.shards.iter()) {
-            match cut.table(table) {
-                Some(t) if t.rows() > 0 => {
-                    plans.push(Some(shard.catalogue().plan_query_at(cut, table, query)?));
-                    seen = true;
+        for (i, shard) in self.shards.iter().enumerate() {
+            let cut = snap.map(|s| &s.shards[i]);
+            let part = match cut {
+                Some(cut) => cut.table(table),
+                None => shard.table(table),
+            };
+            seen |= part.is_some();
+            plans.push(match (part, cut) {
+                (Some(t), Some(cut)) if t.rows() > 0 => {
+                    Some(shard.catalogue().plan_query_at(cut, table, query)?)
                 }
-                Some(_) => {
-                    plans.push(None);
-                    seen = true;
+                (Some(t), None) if t.rows() > 0 => {
+                    Some(shard.catalogue().plan_query(table, query)?)
                 }
-                None => plans.push(None),
-            }
+                _ => None,
+            });
         }
         if !seen {
             return Err(SqlError::UnknownTable(table.to_string()));
@@ -1310,7 +1242,7 @@ impl ShardedDatabase {
         if plans.iter().all(Option::is_none) {
             return Err(SqlError::Plan(PlanError::EmptyTable));
         }
-        self.execute_plans(query, plans, trace, None)
+        self.execute_plans(query, plans, trace, cancel)
     }
 
     /// Plans a two-table join at a cross-shard cut: schemas from any
@@ -1533,262 +1465,57 @@ impl ShardedDatabase {
         Ok(out)
     }
 
-    /// Phase 2 + 3: split every shard's plan into morsels, run them on
-    /// the persistent worker pool (idle workers steal a skewed shard's
-    /// tail), merge the partials, finalise the tail on the coordinator.
+    /// Phase 2 + 3: the shared morsel coordinator (see
+    /// [`crate::morsel`]) with the persistent worker pool as its runner
+    /// — idle workers steal a skewed shard's tail.
     fn execute_plans(
         &mut self,
         query: &AggregateQuery,
         plans: Vec<Option<QueryPlan>>,
-        mut trace: Option<&mut QueryTrace>,
+        trace: Option<&mut QueryTrace>,
         cancel: Option<&CancelToken>,
     ) -> Result<ShardedOutput, SqlError> {
-        let morsel_rows = self.executor.morsel_rows_hint().max(1);
-        let prune = self.executor.config().prune;
         let plans: Vec<Option<Arc<QueryPlan>>> =
             plans.into_iter().map(|p| p.map(Arc::new)).collect();
-        // Composite grouping rides the forced-domain fast path: every
-        // shard plan already carries its partition's exact per-column
-        // key domains (the planner computed them for the overflow
-        // check), and their elementwise max is the domain over the
-        // whole partitioned input — exactly what a single session
-        // would measure. Forcing those domains into every morsel's
-        // fusion puts all partials in one shared fused key space, so
-        // they merge directly: no per-morsel max scans, no dictionary,
-        // no re-keying. The *global* product must be re-vetted here —
-        // each shard's plan only checked its own partition.
-        let forced: Option<Arc<[u64]>> = if query.group_by_rest.is_empty() {
-            None
-        } else {
-            let mut domains: Vec<u64> = Vec::new();
-            for plan in plans.iter().flatten() {
-                if domains.is_empty() {
-                    domains = plan.key_domains().to_vec();
-                } else {
-                    for (d, &x) in domains.iter_mut().zip(plan.key_domains()) {
-                        *d = (*d).max(x);
-                    }
-                }
-            }
-            let total: u128 = domains.iter().map(|&d| d as u128).product();
-            if total > u32::MAX as u128 + 1 {
-                return Err(SqlError::Plan(PlanError::CompositeKeyOverflow {
-                    domain: total.min(u64::MAX as u128) as u64,
-                }));
-            }
-            Some(domains.into())
-        };
-        if let Some(t) = trace.as_deref_mut() {
-            // Establish the rollup order and sum each step's estimate
-            // across the shard plans (shards may pick different
-            // algorithms; their steps roll up separately by rendering).
-            for plan in plans.iter().flatten() {
-                t.estimate_plan(plan);
-            }
-        }
-        let mut morsels = Vec::new();
-        let (mut pruned_morsels, mut pruned_rows) = (0u64, 0u64);
-        for (shard, plan) in plans.iter().enumerate() {
-            let Some(plan) = plan else { continue };
-            let mut lo = 0;
-            while lo < plan.rows() {
-                let hi = (lo + morsel_rows).min(plan.rows());
-                // Zone-map pruning: a morsel whose zones prove the
-                // WHERE predicate matches nothing contributes exactly
-                // what a filter-emptied morsel would — an empty
-                // partial — so it is dropped before dispatch.
-                if prune && plan.prunes_range(lo, hi) {
-                    pruned_morsels += 1;
-                    pruned_rows += (hi - lo) as u64;
-                } else {
-                    morsels.push(Morsel {
-                        shard,
-                        plan: Arc::clone(plan),
-                        lo,
-                        hi,
-                        domains: forced.clone(),
-                        traced: trace.is_some(),
-                    });
-                }
-                lo = hi;
-            }
-        }
-        if pruned_morsels > 0 {
-            self.executor.note_pruned(pruned_morsels, pruned_rows);
-        }
-        if let Some(t) = trace.as_deref_mut() {
-            t.morsels_dispatched += morsels.len() as u64;
-            t.morsels_pruned += pruned_morsels;
-            t.rows_pruned += pruned_rows;
-        }
-        let outcomes = self.executor.execute(morsels, cancel);
-        // A tripped token means the outcome set is incomplete: surface
-        // the typed error instead of merging a partial answer.
-        check_cancel(cancel)?;
-
-        // Worker accounting: the measured morsel costs are scheduled
-        // onto W virtual workers deterministically (host threads race
-        // wall time, which says nothing about simulated cycles — see
-        // `virtual_schedule`); the busiest worker's total is the
-        // parallel makespan.
-        let sched = crate::executor::virtual_schedule(
-            &outcomes,
-            self.executor.worker_count(),
-            self.executor.config().steal,
-        );
-
-        if let Some(t) = trace.as_deref_mut() {
-            let mut spans: Vec<_> = outcomes.iter().filter_map(|o| o.trace.clone()).collect();
-            // Completion order is racy; the trace keeps (shard, lo).
-            spans.sort_by_key(|s| (s.shard, s.lo));
-            for span in &spans {
-                t.record_steps(&span.steps);
-                t.queue_wait_ns += span.queue_wait_ns;
-            }
-            t.morsels.extend(spans);
-            t.workers = (0..sched.loads.len())
-                .map(|w| WorkerRollup {
-                    worker: w,
-                    cycles: sched.loads[w],
-                    morsels: sched.morsels[w],
-                    steals: sched.stolen[w],
-                })
-                .collect();
-            t.steals = sched.steals;
-        }
-        let (worker_loads, steals) = (sched.loads, sched.steals);
-
-        let partial_groups: u64 = outcomes
-            .iter()
-            .map(|o| o.run.partial.base.groups.len() as u64)
-            .sum();
-        let merged = PartialAggregate::merge_all(outcomes.iter().map(|o| o.run.partial.clone()))
-            .unwrap_or_else(|| PartialAggregate::empty(query.needs_minmax()));
-        // With forced domains every partial is keyed in the same
-        // global fused space and the merge-join above already produced
-        // the single-session answer, sorted by fused key — only the
-        // decomposition radices remain to recover the column parts.
-        let rest_domains: Vec<u32> = forced
-            .as_ref()
-            .map_or_else(Vec::new, |d| d[1..].iter().map(|&d| d as u32).collect());
-        let (mut base, mut mm) = (merged.base, merged.minmax);
-        // The coordinator tail's host steps slot into the trace between
-        // the distributive steps and the finalisers, mirroring when
-        // they actually ran.
-        let finaliser = plans.iter().flatten().find_map(|p| {
-            p.steps()
-                .iter()
-                .find(|s| {
-                    matches!(
-                        s,
-                        PlanStep::VectorHaving { .. }
-                            | PlanStep::VectorOrderBy { .. }
-                            | PlanStep::Limit(_)
-                    )
-                })
-                .map(ToString::to_string)
-        });
-        if let Some(t) = trace.as_deref_mut() {
-            t.record_host_step_before(
-                finaliser.as_deref(),
-                "MergePartials".to_string(),
-                None,
-                partial_groups,
-                base.groups.len() as u64,
-            );
-        }
-        if let Some(h) = &query.having {
-            let before = base.groups.len() as u64;
-            host_having(h, &mut base, &mut mm);
-            if let Some(t) = trace.as_deref_mut() {
-                if let Some(step) =
-                    find_plan_step(&plans, |s| matches!(s, PlanStep::VectorHaving { .. }))
-                {
-                    t.record_host_step(step, None, before, base.groups.len() as u64);
-                }
-            }
-        }
-        if let Some(ob) = &query.order_by {
-            let before = base.groups.len() as u64;
-            host_order_by(ob, &mut base, &mut mm);
-            if let Some(t) = trace.as_deref_mut() {
-                if let Some(step) =
-                    find_plan_step(&plans, |s| matches!(s, PlanStep::VectorOrderBy { .. }))
-                {
-                    t.record_host_step(step, None, before, before);
-                }
-                if let Some(step) = find_plan_step(&plans, |s| matches!(s, PlanStep::Limit(_))) {
-                    t.record_host_step(step, None, before, base.groups.len() as u64);
-                }
-            }
-        }
-        let rows = assemble_rows(
+        let executor = &self.executor;
+        morsel::execute(
             query,
-            &base,
-            mm.as_ref().map(|(a, b)| (&a[..], &b[..])),
-            &rest_domains,
-        );
-
-        // Per-shard reports: one shard's work summed over its morsels,
-        // wherever they ran.
-        let mut shard_reports = Vec::new();
-        for (s, plan) in plans.iter().enumerate() {
-            let Some(plan) = plan else { continue };
-            let mine: Vec<&MorselOutcome> = outcomes.iter().filter(|o| o.shard == s).collect();
-            let cycles: u64 = mine.iter().map(|o| o.run.report.cycles).sum();
-            let rows_aggregated: usize = mine.iter().map(|o| o.run.report.rows_aggregated).sum();
-            let aggregated = mine
-                .iter()
-                .find(|o| o.run.report.algorithm.is_some())
-                .or(mine.first());
-            shard_reports.push(ExecutionReport {
-                algorithm: aggregated.and_then(|o| o.run.report.algorithm),
-                rows_aggregated,
-                cycles,
-                cpt: if plan.rows() == 0 {
-                    0.0
-                } else {
-                    cycles as f64 / plan.rows() as f64
-                },
-                steps: aggregated
-                    .map(|o| o.run.report.steps.clone())
-                    .unwrap_or_default(),
-            });
-        }
-        let aggregated = shard_reports
-            .iter()
-            .find(|r| r.algorithm.is_some())
-            .or(shard_reports.first());
-        let cycles = worker_loads.iter().copied().max().unwrap_or(0);
-        let total_rows: usize = shard_reports.iter().map(|r| r.rows_aggregated).sum();
-        // `cpt` keeps the field's contract — cycles per *input* tuple —
-        // with the makespan as the cycle count: the parallel cost of
-        // pushing the whole table through.
-        let input_rows: usize = plans.iter().flatten().map(|p| p.rows()).sum();
-        let report = ExecutionReport {
-            algorithm: aggregated.and_then(|r| r.algorithm),
-            rows_aggregated: total_rows,
-            cycles,
-            cpt: if input_rows == 0 {
-                0.0
-            } else {
-                cycles as f64 / input_rows as f64
+            &plans,
+            executor.config(),
+            trace,
+            |morsels, pruned| {
+                if pruned.morsels > 0 {
+                    executor.note_pruned(pruned.morsels, pruned.rows);
+                }
+                let outcomes = executor.execute(morsels, cancel);
+                // A tripped token means the outcome set is incomplete:
+                // surface the typed error instead of merging a partial
+                // answer.
+                check_cancel(cancel)?;
+                Ok(outcomes)
             },
-            steps: aggregated.map(|r| r.steps.clone()).unwrap_or_default(),
-        };
-        if let Some(t) = trace {
-            t.cycles = report.cycles;
-            t.rows = rows.len() as u64;
-        }
-        Ok(ShardedOutput {
-            rows,
-            report,
-            shard_reports,
-            worker_loads,
-            steals,
-            trace: None,
-        })
+        )
     }
+}
+
+/// The query of a statement the sharded explain entry points can plan
+/// — a bare `SELECT`, an `EXPLAIN SELECT` or an `EXPLAIN ANALYZE
+/// SELECT`, without `AS OF`; every other statement is a typed
+/// rejection.
+fn parse_plannable(sql: &str) -> Result<SqlQuery, SqlError> {
+    let q = match parse_statement(sql)? {
+        Statement::Select(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => q,
+        Statement::Insert(_) => return Err(SqlError::InsertStatement),
+        Statement::Delete(_) | Statement::Update(_) => return Err(SqlError::MutationStatement),
+        Statement::CreateSnapshot(_) => return Err(SqlError::ShardedTimeTravel),
+        Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
+            return Err(SqlError::TransactionStatement)
+        }
+    };
+    if q.as_of.is_some() {
+        return Err(SqlError::ShardedTimeTravel);
+    }
+    Ok(q)
 }
 
 /// Surfaces a tripped [`CancelToken`] as the typed
@@ -1801,19 +1528,6 @@ fn check_cancel(cancel: Option<&CancelToken>) -> Result<(), SqlError> {
     }
 }
 
-/// The rendered form of the first plan step matching `pred` across the
-/// shard plans — the rollup key the coordinator's host-side finalisers
-/// record their actuals under (the shards all plan the same tail).
-fn find_plan_step(
-    plans: &[Option<Arc<QueryPlan>>],
-    pred: impl Fn(&PlanStep) -> bool,
-) -> Option<String> {
-    plans
-        .iter()
-        .flatten()
-        .find_map(|p| p.steps().iter().find(|s| pred(s)).map(ToString::to_string))
-}
-
 /// Convenience: the merged output in [`QueryOutput`] form.
 impl From<ShardedOutput> for QueryOutput {
     fn from(out: ShardedOutput) -> Self {
@@ -1821,54 +1535,6 @@ impl From<ShardedOutput> for QueryOutput {
             rows: out.rows,
             report: out.report,
         }
-    }
-}
-
-// Coordinator-side HAVING over the merged (small) output table: the
-// same semantics as the shards' vectorised kernel, applied host-side
-// because the merged table lives on the coordinator host. Shared with
-// the single-session cancellable morsel loop.
-pub(crate) fn host_having(h: &Having, base: &mut AggResult, mm: &mut Option<(Vec<u32>, Vec<u32>)>) {
-    let pred_col = agg_column(h.agg, base, mm).to_vec();
-    let keep: Vec<bool> = pred_col.iter().map(|&x| h.pred.matches(x)).collect();
-    let filter = |col: &mut Vec<u32>| {
-        let mut it = keep.iter();
-        col.retain(|_| *it.next().expect("keep mask covers every row"));
-    };
-    filter(&mut base.groups);
-    filter(&mut base.counts);
-    filter(&mut base.sums);
-    if let Some((mins, maxs)) = mm {
-        filter(mins);
-        filter(maxs);
-    }
-}
-
-// Coordinator-side ORDER BY + LIMIT: a stable sort on the same key the
-// shards' radix kernel would use (complement for DESC), then truncate.
-pub(crate) fn host_order_by(
-    ob: &OrderBy,
-    base: &mut AggResult,
-    mm: &mut Option<(Vec<u32>, Vec<u32>)>,
-) {
-    let n = base.len();
-    let keys: Vec<u32> = match ob.key {
-        OrderKey::Group => base.groups.clone(),
-        OrderKey::Agg(a) => agg_column(a, base, mm).to_vec(),
-    };
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by_key(|&i| if ob.desc { u32::MAX - keys[i] } else { keys[i] });
-    let keep = ob.limit.unwrap_or(n).min(n);
-    let permute = |col: &mut Vec<u32>| {
-        let reordered: Vec<u32> = idx.iter().take(keep).map(|&i| col[i]).collect();
-        *col = reordered;
-    };
-    permute(&mut base.groups);
-    permute(&mut base.counts);
-    permute(&mut base.sums);
-    if let Some((mins, maxs)) = mm {
-        permute(mins);
-        permute(maxs);
     }
 }
 

@@ -33,7 +33,7 @@ fn main() {
     let q1 = AggregateQuery::paper("region", "amount");
     let plan = engine.plan(&orders, &q1).expect("plan q1");
     println!("EXPLAIN output:\n{}\n", plan.explain());
-    let out = session.run(&plan);
+    let out = session.run(&plan, None);
     println!(
         "  {} groups, {} cycles ({:.2} CPT), algorithm: {}\n",
         out.rows.len(),
@@ -51,7 +51,7 @@ fn main() {
         .with_filter("status", Predicate::NonZero);
     println!("Q2: {}", q2.sql("orders"));
     let plan2 = engine.plan(&orders, &q2).expect("plan q2");
-    let out = session.run(&plan2);
+    let out = session.run(&plan2, None);
     println!("  plan: {}", out.report.describe());
     println!(
         "  aggregated {} of {} rows in {} cycles ({:.2} CPT)",

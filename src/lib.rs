@@ -63,7 +63,7 @@
 //! println!("{}", plan.explain());
 //!
 //! let mut session = Session::new();
-//! let out = session.run(&plan);
+//! let out = session.run(&plan, None);
 //! assert_eq!(out.rows.len(), 2);
 //! # Ok::<(), vagg::db::PlanError>(())
 //! ```

@@ -10,7 +10,8 @@
 use proptest::correlated::{SideData, TablePair};
 use proptest::prelude::*;
 use vagg::db::{
-    parse, CompactionPolicy, Database, Engine, Row, RowBatch, ShardedDatabase, SqlOutcome, Table,
+    parse, CompactionPolicy, Database, Engine, Row, RowBatch, Session, ShardedDatabase, SqlOutcome,
+    Table,
 };
 
 /// Correlated pairs over one or two key columns, sweeping overlap
@@ -148,7 +149,8 @@ fn oracle_rows(sql: &str, pair: &TablePair, left_rows: usize, right_rows: usize)
         flat = flat.with_column(s.clone(), data);
     }
     Engine::new()
-        .execute(&flat, &q.query)
+        .plan(&flat, &q.query)
+        .map(|plan| Session::new().run(&plan, None))
         .unwrap_or_else(|e| panic!("oracle execution of {sql:?} failed: {e}"))
         .rows
 }

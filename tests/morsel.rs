@@ -13,12 +13,18 @@
 //!   stealing on and off: results must be identical to each other and
 //!   to a single session, and the steal schedule must shorten the
 //!   simulated makespan that whole-shard scheduling pays.
+//! * **One morsel pipeline, two runners.** A single database's
+//!   whole-plan read, its cancellable read (morsels run inline on its
+//!   own session) and a 1-shard [`ShardedDatabase`] (morsels run on the
+//!   worker pool) return bit-identical rows, and the two morsel runners
+//!   aggregate and prune exactly the same rows.
 
 use proptest::prelude::*;
 use vagg::datagen::rng::Xoshiro256StarStar;
 use vagg::datagen::zipf::Zipf;
 use vagg::db::{
-    CompactionPolicy, Database, Engine, ExecutorConfig, RowBatch, ShardedDatabase, Table,
+    CancelToken, CompactionPolicy, Database, Engine, ExecutorConfig, QueryOutput, RowBatch,
+    ShardedDatabase, SqlOutcome, Table,
 };
 
 /// Deterministic pseudo-random columns for the proptest cases.
@@ -128,6 +134,72 @@ proptest! {
             let expect = fresh.execute(&mut single, &[param]).unwrap();
             prop_assert_eq!(&got.rows, &expect.rows, "prepared, v < {}", param);
         }
+    }
+}
+
+/// One SELECT through `run_sql_cancellable`, unwrapped to its output.
+fn run_inline(db: &mut Database, sql: &str) -> QueryOutput {
+    match db.run_sql_cancellable(sql, &CancelToken::new()).unwrap() {
+        SqlOutcome::Rows(out) => out,
+        other => panic!("SELECT returned {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn whole_plan_inline_morsels_and_pooled_morsels_agree(
+        n in 1usize..8000,
+        da in 1u32..40,
+        db in 1u32..12,
+        shape in 0usize..6,
+        lit in 0u32..100,
+        seed in 0u64..1000,
+    ) {
+        let (a, b, v) = columns(n, da, db, seed);
+        // `ts` ascends with the row index, so its zone maps let a
+        // `ts >` predicate over the last quarter of the rows prune
+        // every leading morsel.
+        let table = two_key_table(&a, &b, &v).with_column("ts", (0..n as u32).collect());
+        let cut = (n as u64 * (75 + lit as u64 / 4) / 100) as u32;
+        let sql = match shape {
+            0 => "SELECT a, COUNT(*), SUM(v) FROM t GROUP BY a".to_string(),
+            1 => "SELECT a, b, COUNT(*), SUM(v) FROM t GROUP BY a, b".to_string(),
+            2 => "SELECT a, COUNT(*), MIN(v), MAX(v) FROM t GROUP BY a".to_string(),
+            3 => format!(
+                "SELECT a, b, COUNT(*), SUM(v), MIN(v) FROM t WHERE ts > {cut} GROUP BY a, b"
+            ),
+            4 => format!("SELECT a, COUNT(*), SUM(v) FROM t GROUP BY a HAVING SUM(v) > {lit}"),
+            _ => format!(
+                "SELECT a, COUNT(*), SUM(v), MAX(v) FROM t WHERE ts > {cut} GROUP BY a \
+                 ORDER BY SUM(v) DESC LIMIT {}",
+                1 + lit % 7
+            ),
+        };
+
+        let mut single = Database::new();
+        single.register(table.clone());
+        let mut sharded = ShardedDatabase::new(1);
+        sharded.register(table);
+
+        let whole = single.execute_sql(&sql).unwrap();
+        let inline = run_inline(&mut single, &sql);
+        let pooled = sharded.run_sql(&sql).unwrap();
+        prop_assert_eq!(&inline.rows, &whole.rows, "inline morsels: {}", sql);
+        prop_assert_eq!(&pooled.rows, &whole.rows, "pooled morsels: {}", sql);
+        prop_assert_eq!(
+            inline.report.rows_aggregated,
+            pooled.report.rows_aggregated,
+            "{}",
+            sql
+        );
+        prop_assert_eq!(
+            single.metrics().get("morsels_pruned"),
+            sharded.metrics().get("executor_morsels_pruned"),
+            "{}",
+            sql
+        );
     }
 }
 

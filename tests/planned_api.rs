@@ -498,8 +498,8 @@ fn two_queries_on_one_session_reuse_the_machine() {
         .unwrap();
 
     let mut session = Session::new();
-    let r1 = session.run(&p1);
-    let r2 = session.run(&p2);
+    let r1 = session.run(&p1, None);
+    let r2 = session.run(&p2, None);
 
     assert_eq!(session.queries_run(), 2);
     // One machine, cumulative cycles, per-query deltas.

@@ -176,7 +176,9 @@ proptest! {
             .with_column("g", g)
             .with_column("v", v)
             .with_column("w", w);
-        let out = Engine::new().execute(&table, &q);
+        let out = Engine::new()
+            .plan(&table, &q)
+            .map(|plan| Session::new().run(&plan, None));
 
         match out {
             Ok(out) => {
@@ -200,9 +202,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `Engine::plan` + `Session::run` is exactly the one-shot
-    /// `Engine::execute` it replaced: same rows, same cycles, same
-    /// algorithm, on random full-pipeline queries.
+    /// `Engine::plan` + `Session::run` on two fresh sessions agree
+    /// exactly: same rows, same cycles, same algorithm, on random
+    /// full-pipeline queries.
     #[test]
     fn plan_plus_session_matches_execute(
         rows in proptest::collection::vec((0u32..16, 0u32..10, 0u32..8), 1..300),
@@ -237,10 +239,10 @@ proptest! {
             .with_column("w", w);
 
         let engine = Engine::new();
-        let via_execute = engine.execute(&table, &q).unwrap();
+        let via_execute = Session::new().run(&engine.plan(&table, &q).unwrap(), None);
         let plan = engine.plan(&table, &q).unwrap();
         prop_assert!(plan.explain().contains("CardinalityScan"));
-        let via_session = Session::new().run(&plan);
+        let via_session = Session::new().run(&plan, None);
 
         prop_assert_eq!(via_execute.rows, via_session.rows);
         prop_assert_eq!(via_execute.report.cycles, via_session.report.cycles);
@@ -267,8 +269,8 @@ proptest! {
             .plan(&table, &AggregateQuery::paper("g", "v"))
             .unwrap();
         let mut session = Session::new();
-        let first = session.run(&plan);
-        let second = session.run(&plan);
+        let first = session.run(&plan, None);
+        let second = session.run(&plan, None);
         prop_assert_eq!(session.queries_run(), 2);
         prop_assert_eq!(&first.rows, &second.rows);
         prop_assert_eq!(
@@ -320,9 +322,12 @@ proptest! {
             for p in &params {
                 inlined = inlined.replacen('?', &p.to_string(), 1);
             }
-            let fresh = Engine::new()
-                .execute(&table, &parse(&inlined).unwrap().query)
-                .unwrap();
+            let fresh = Session::new().run(
+                &Engine::new()
+                    .plan(&table, &parse(&inlined).unwrap().query)
+                    .unwrap(),
+                None,
+            );
             prop_assert_eq!(prepared.rows, fresh.rows, "{} with {:?}", sql, params);
         }
         prop_assert_eq!(stmt.replans(), 0, "binding never re-plans");
@@ -443,7 +448,7 @@ proptest! {
             .with_column("b", b)
             .with_column("v", v);
         let q = AggregateQuery::paper("a", "v").with_group_by_also("b");
-        let out = Engine::new().execute(&table, &q).unwrap();
+        let out = Session::new().run(&Engine::new().plan(&table, &q).unwrap(), None);
 
         prop_assert_eq!(out.rows.len(), expect.len());
         for r in &out.rows {
