@@ -6,7 +6,8 @@
 //! natural cancellation points of the engine: the [`crate::Executor`]
 //! checks it at every morsel pop, and the single-session
 //! [`crate::Database::run_sql_cancellable`] path checks it before each
-//! morsel-sized row range it runs. Nothing is interrupted mid-kernel;
+//! morsel it runs inline (an aggregate's row range, a join's build or
+//! probe range). Nothing is interrupted mid-kernel;
 //! a tripped token makes the query surface a typed
 //! [`SqlError::Cancelled`](crate::SqlError::Cancelled) carrying the
 //! [`CancelCause`] — an explicit [`CancelToken::cancel`], a missed

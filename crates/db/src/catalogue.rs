@@ -1024,7 +1024,7 @@ impl SharedCatalogue {
         // single-table cut, plan at it, release the pin on return —
         // the same (one and only) read path an explicit snapshot uses.
         let snap = self.snapshot_of(table)?;
-        self.plan_at_snapshot(&snap, table, query)
+        self.plan_cached(&snap, table, query)
     }
 
     /// Plans `query` against `table` **at a pinned snapshot**: the
@@ -1050,7 +1050,7 @@ impl SharedCatalogue {
         table: &str,
         query: &AggregateQuery,
     ) -> Result<QueryPlan, SqlError> {
-        let mut plan = self.plan_at_snapshot(snap, table, query)?;
+        let mut plan = self.plan_cached(snap, table, query)?;
         // An explicit-snapshot plan is stamped with its provenance for
         // `EXPLAIN` — *after* the cache interaction, so the shared
         // cache never holds an `as_of` label.
@@ -1062,7 +1062,7 @@ impl SharedCatalogue {
 
     /// [`SharedCatalogue::plan_query_at`] without the provenance stamp
     /// — the shared body of the live and explicit-snapshot paths.
-    fn plan_at_snapshot(
+    fn plan_cached(
         &self,
         snap: &Snapshot,
         table: &str,

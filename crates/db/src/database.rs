@@ -39,7 +39,7 @@ use crate::engine::{Engine, ExecutionReport, QueryOutput};
 use crate::executor::ExecutorConfig;
 use crate::filter::Predicate;
 use crate::ingest::{CompactionPolicy, IngestError, IngestReceipt, RowBatch};
-use crate::join::{join_local_traced, plan_join, JoinPlan, LocalJoinObs, PreparedJoin};
+use crate::join::{self, JoinPlan, JoinSide, PreparedJoin};
 use crate::metrics::{MetricsSnapshot, SlowQuery};
 use crate::morsel;
 use crate::plan::{PlanError, PlanStep, QueryPlan};
@@ -165,7 +165,8 @@ pub enum SqlError {
     /// before the answer was complete — the [`CancelCause`] says
     /// whether it was an explicit cancel, a wall-clock timeout, or an
     /// exhausted morsel budget. Any partial work was discarded; the
-    /// catalogue is untouched.
+    /// catalogue is untouched — a write statement never reports this
+    /// once it has started (see [`Database::run_sql_cancellable`]).
     Cancelled(CancelCause),
 }
 
@@ -779,93 +780,65 @@ impl Database {
     }
 
     /// Plans a two-table join — the join twin of
-    /// [`Database::plan_read`]. `AS OF` names an explicit frozen state
-    /// for **both** tables and wins outright; otherwise the join reads
-    /// at one snapshot cut (`snap`, else the open read-only
-    /// transaction's, else a snapshot-of-now covering the whole
-    /// catalogue): both sides' content, statistics and data versions
-    /// come from the same consistent view, so the join never mixes a
-    /// pre-ingest left with a post-ingest right.
+    /// [`Database::plan_read`] — returning the plan with its two
+    /// resolved sides. `AS OF` names an explicit frozen state for
+    /// **both** tables and wins outright; otherwise the join reads at
+    /// one snapshot cut (`snap`, else the open read-only transaction's,
+    /// else a snapshot-of-now covering the whole catalogue): both sides'
+    /// content, statistics and data versions come from the same
+    /// consistent view, so the join never mixes a pre-ingest left with
+    /// a post-ingest right.
     fn plan_join_read(
         &self,
         q: &SqlQuery,
         snap: Option<&Snapshot>,
-    ) -> Result<(JoinPlan, Table, Table), SqlError> {
+    ) -> Result<(JoinPlan, JoinSide, JoinSide), SqlError> {
         let join = q.join.as_ref().expect("caller verified a join clause");
-        if let Some(as_of) = &q.as_of {
-            let (lt, lv, rt, rv, label) = match as_of {
-                AsOf::DataVersion(n) => {
-                    let lt = self.catalogue.table_at_version(&q.table, *n)?;
-                    let rt = self.catalogue.table_at_version(&join.table, *n)?;
-                    (lt, *n, rt, *n, format!("data_version@{n}"))
-                }
-                AsOf::Name(name) => {
-                    let (lv, lt) = self.catalogue.named_table(name, &q.table)?;
-                    let (rv, rt) = self.catalogue.named_table(name, &join.table)?;
-                    (lt, lv, rt, rv, name.clone())
-                }
-            };
-            let (ls, rs) = (TableStats::seed(&lt), TableStats::seed(&rt));
-            let plan = plan_join(
-                &q.query,
-                join,
-                &q.table,
-                &lt,
-                &ls,
-                lv,
-                &rt,
-                &rs,
-                rv,
-                1,
-                Some(label),
-            )?;
-            return Ok((plan, lt, rt));
-        }
-        let owned;
-        let snap = match snap.or(self.txn_snapshot()) {
-            Some(snap) => snap,
+        let (left, right, label) = match &q.as_of {
             None => {
-                owned = self.catalogue.snapshot();
-                &owned
+                let owned;
+                let snap = match snap.or(self.txn_snapshot()) {
+                    Some(snap) => snap,
+                    None => {
+                        owned = self.catalogue.snapshot();
+                        &owned
+                    }
+                };
+                let cut = std::slice::from_ref(snap);
+                return join::plan_cut(&q.query, &q.table, join, cut, [&self.catalogue]);
+            }
+            Some(AsOf::DataVersion(n)) => {
+                let lt = self.catalogue.table_at_version(&q.table, *n)?;
+                let rt = self.catalogue.table_at_version(&join.table, *n)?;
+                let (l, r) = (JoinSide::frozen(lt, *n), JoinSide::frozen(rt, *n));
+                (l, r, format!("data_version@{n}"))
+            }
+            Some(AsOf::Name(name)) => {
+                let (lv, lt) = self.catalogue.named_table(name, &q.table)?;
+                let (rv, rt) = self.catalogue.named_table(name, &join.table)?;
+                let (l, r) = (JoinSide::frozen(lt, lv), JoinSide::frozen(rt, rv));
+                (l, r, name.clone())
             }
         };
-        if !snap.catalogue().is_same(&self.catalogue) {
-            return Err(SqlError::ForeignSnapshot);
-        }
-        let fetch = |name: &str| -> Result<(Table, TableStats, u64), SqlError> {
-            match (
-                snap.table(name),
-                snap.table_stats(name),
-                snap.data_version(name),
-            ) {
-                (Some(t), Some(s), Some(v)) => Ok((t, s, v)),
-                _ => Err(SqlError::UnknownTable(name.to_string())),
-            }
-        };
-        let (lt, ls, lv) = fetch(&q.table)?;
-        let (rt, rs, rv) = fetch(&join.table)?;
-        let plan = plan_join(
-            &q.query, join, &q.table, &lt, &ls, lv, &rt, &rs, rv, 1, None,
-        )?;
-        Ok((plan, lt, rt))
+        let plan = join::plan_join(&q.query, join, &q.table, &left, &right, Some(label))?;
+        Ok((plan, left, right))
     }
 
     /// Plans and executes a two-table join at `snap` (see
-    /// [`Database::plan_join_read`]): hash build over the smaller
-    /// side, probe, then the ordinary aggregation tail over the
-    /// derived rows (see [`crate::join`]), folding the join's host
-    /// steps into `trace` when one is given.
+    /// [`Database::plan_join_read`]): the join exchange runs its morsels
+    /// inline, each admitted through `cancel` when one is given, then
+    /// the ordinary aggregation tail runs over the derived rows (see
+    /// [`crate::join`]), folding the join's host steps into `trace`
+    /// when one is given.
     fn run_join(
         &mut self,
         q: &SqlQuery,
         snap: Option<&Snapshot>,
         mut trace: Option<&mut QueryTrace>,
+        cancel: Option<&CancelToken>,
     ) -> Result<QueryOutput, SqlError> {
-        let (plan, lt, rt) = self.plan_join_read(q, snap)?;
-        let (derived, obs) = join_local_traced(&plan, &lt, &rt);
-        if let Some(t) = trace.as_deref_mut() {
-            record_join_obs(t, &plan, &obs);
-        }
+        let (plan, left, right) = self.plan_join_read(q, snap)?;
+        let derived = join::execute_inline(&plan, &left, &right, trace.as_deref_mut(), cancel)?;
         self.run_join_tail(plan.steps(), plan.query(), &derived, trace)
     }
 
@@ -934,7 +907,7 @@ impl Database {
     ) -> Result<QueryOutput, SqlError> {
         let output = match q {
             ReadQuery::Sql(_, select) if select.join.is_some() => {
-                self.run_join(select, snap, trace.as_deref_mut())?
+                self.run_join(select, snap, trace.as_deref_mut(), None)?
             }
             ReadQuery::Sql(_, select) => {
                 let plan = self.plan_read(select, snap)?;
@@ -1166,14 +1139,17 @@ impl Database {
 
     /// [`Database::run_sql`] under a [`CancelToken`] — the
     /// single-session cancellation surface (see [`crate::cancel`]).
-    /// A plain `SELECT` is morselized: its plan runs in morsel-sized
-    /// row ranges with the token checked before each one, the range
-    /// partials merge exactly like the sharded executor's (bit-identical
-    /// rows), and a tripped token surfaces
-    /// [`SqlError::Cancelled`] within one morsel's work instead of
-    /// running the query to completion. Joins and write statements
-    /// check the token at statement boundaries only (their kernels are
-    /// host-side and short); cancelled queries are counted in
+    /// A `SELECT` is morselized and the token admits each morsel: a
+    /// plain aggregate's plan runs in morsel-sized row ranges whose
+    /// partials merge exactly like the sharded executor's, a join's
+    /// build and probe run as morsels exactly like a one-shard
+    /// [`crate::ShardedDatabase`]'s (bit-identical rows either way), and
+    /// a tripped token surfaces [`SqlError::Cancelled`] within one
+    /// morsel's work instead of running the query to completion.
+    /// `EXPLAIN` statements check the token once more after they run.
+    /// A write or transaction statement that started runs to
+    /// completion and reports its own outcome, so `Cancelled` always
+    /// means nothing was applied. Cancelled queries are counted in
     /// [`Database::metrics`].
     ///
     /// # Errors
@@ -1197,22 +1173,27 @@ impl Database {
             return Err(SqlError::Cancelled(cause));
         }
         match parse_statement(sql)? {
-            Statement::Select(q) if q.join.is_none() => {
-                let plan = self.plan_read(&q, None)?;
-                let out = self.run_morsels(plan, token)?;
+            Statement::Select(q) => {
+                let out = if q.join.is_some() {
+                    self.run_join(&q, None, None, Some(token))?
+                } else {
+                    let plan = self.plan_read(&q, None)?;
+                    self.run_morsels(plan, token)?
+                };
                 self.note_query(sql, &out);
                 Ok(SqlOutcome::Rows(out))
             }
-            // Joins and every other statement run whole (their kernels
-            // are host-side; no morsel boundary to check at), with a
-            // trailing check so a trip during the run is still typed.
-            _ => {
+            // Read-only statements run whole, with a trailing check so a
+            // trip during the run is still typed.
+            Statement::Explain(_) | Statement::ExplainAnalyze(_) => {
                 let out = self.run_sql(sql)?;
                 match token.cause() {
                     Some(cause) => Err(SqlError::Cancelled(cause)),
                     None => Ok(out),
                 }
             }
+            // A write that finished is applied and logged: report it.
+            _ => self.run_sql(sql),
         }
     }
 
@@ -1716,7 +1697,13 @@ impl Database {
 /// `EXPLAIN SELECT` or an `EXPLAIN ANALYZE SELECT` — for the explain
 /// entry points; every other statement is a typed rejection.
 fn parse_plannable(sql: &str) -> Result<SqlQuery, SqlError> {
-    match parse_statement(sql)? {
+    plannable(parse_statement(sql)?)
+}
+
+/// [`parse_plannable`] over an already-parsed statement (the sharded
+/// explain entry points map their own rejections first).
+pub(crate) fn plannable(statement: Statement) -> Result<SqlQuery, SqlError> {
+    match statement {
         Statement::Select(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => Ok(q),
         Statement::Insert(_) => Err(SqlError::InsertStatement),
         Statement::Delete(_) | Statement::Update(_) | Statement::CreateSnapshot(_) => {
@@ -1726,33 +1713,6 @@ fn parse_plannable(sql: &str) -> Result<SqlQuery, SqlError> {
             Err(SqlError::TransactionStatement)
         }
     }
-}
-
-/// Folds a local join's host-side observations into a trace: the
-/// build/probe steps' observed rows recorded under the plan's rendered
-/// step names, plus the key-dictionary counters and the freeze-barrier
-/// wall time. Host-side work carries no simulated cycles.
-fn record_join_obs(t: &mut QueryTrace, plan: &JoinPlan, obs: &LocalJoinObs) {
-    for step in plan.steps() {
-        match step {
-            PlanStep::JoinBuild { .. } => t.record_host_step(
-                step.to_string(),
-                step.estimated_rows(),
-                obs.build_rows as u64,
-                obs.entries as u64,
-            ),
-            PlanStep::JoinProbe { .. } => t.record_host_step(
-                step.to_string(),
-                step.estimated_rows(),
-                obs.probe_rows as u64,
-                obs.pairs as u64,
-            ),
-            _ => {}
-        }
-    }
-    t.dict_entries += obs.entries as u64;
-    t.dict_hits += obs.dict_hits;
-    t.freeze_ns = Some(t.freeze_ns.unwrap_or(0) + obs.freeze_ns);
 }
 
 /// The WAL record describing one catalogue operation, tagged with the
@@ -2551,5 +2511,29 @@ mod tests {
             .run_sql_cancellable("INSERT INTO r (g, v) VALUES (9, 9)", &token)
             .unwrap_err();
         assert!(matches!(err, SqlError::Cancelled(_)));
+    }
+
+    #[test]
+    fn a_finished_write_is_never_reported_cancelled() {
+        // A deadline that lapses while a large INSERT parses and
+        // applies: whichever side of the deadline the statement lands
+        // on, the answer must describe the catalogue truthfully.
+        let values: Vec<String> = (0..20_000).map(|i| format!("({i}, {i})")).collect();
+        let sql = format!("INSERT INTO r (g, v) VALUES {}", values.join(", "));
+        let mut db = db();
+        for _ in 0..4 {
+            let before = db.table("r").unwrap().rows();
+            let token = CancelToken::with_timeout(std::time::Duration::from_millis(1));
+            match db.run_sql_cancellable(&sql, &token) {
+                Ok(SqlOutcome::Inserted(receipt)) => {
+                    assert_eq!(receipt.rows, 20_000);
+                    assert_eq!(db.table("r").unwrap().rows(), before + 20_000);
+                }
+                Err(SqlError::Cancelled(CancelCause::TimedOut)) => {
+                    assert_eq!(db.table("r").unwrap().rows(), before, "nothing applied");
+                }
+                other => panic!("an INSERT inserts or is cancelled: {other:?}"),
+            }
+        }
     }
 }

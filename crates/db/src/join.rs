@@ -3,26 +3,35 @@
 //! strategy.
 //!
 //! A two-table `SELECT ... FROM a JOIN b ON a.k = b.k [AND ...]` runs
-//! in three phases:
+//! the same pipeline on a single [`crate::Database`] and on a
+//! [`crate::ShardedDatabase`] — the single database is the one-partition
+//! case:
 //!
-//! 1. **Build.** The planner picks a *build side* from live
-//!    [`TableStats`] — fewer rows wins, ties broken by the smaller KMV
-//!    distinct estimate of the join key, then by key sortedness — and
-//!    its key tuples are interned through a [`KeyDictionary`] into
-//!    dense-id buckets of row ids (`JoinBuildSink`). On the sharded
-//!    path the build is *cooperative*: build-side row ranges are
-//!    morsels on the persistent [`crate::Executor`], and every worker
-//!    interns into the same shared dictionary.
-//! 2. **Probe.** Probe-side morsels stream through the frozen
-//!    `JoinIndex`: each row's key tuple is looked up (no interning —
-//!    a miss is simply a dropped row) and matched build rows emit
-//!    `(probe row, build row)` pairs.
-//! 3. **Aggregate.** The pairs gather a *derived table* whose columns
-//!    are exactly the query's references (`l.g`, `r.v`, …), and the
-//!    ordinary single-table engine plans and executes the GROUP
-//!    BY/HAVING/ORDER BY/LIMIT tail over it — so every aggregation
-//!    algorithm, the morsel executor and the coordinator tail run
-//!    unchanged.
+//! 1. **Resolve.** Each table becomes a `JoinSide` at one cut: its
+//!    partitions (one per shard, one for a single database), their
+//!    [`TableStats`] merged and their data versions merged.
+//! 2. **Plan.** The planner picks a *build side* from those statistics
+//!    — fewer rows wins, ties broken by the smaller KMV distinct
+//!    estimate of the join key, then by key sortedness — and the
+//!    exchange strategy from the partition count.
+//! 3. **Build.** Build-side row ranges are morsels; each interns its
+//!    key tuples through a shared [`KeyDictionary`] into dense-id
+//!    buckets of row ids (`JoinBuildSink`).
+//! 4. **Probe.** After the freeze barrier, probe-side morsels stream
+//!    through the frozen `JoinIndex`: each row's key tuple is looked up
+//!    (no interning — a miss is simply a dropped row) and matched build
+//!    rows emit `(probe row, build row)` pairs.
+//! 5. **Aggregate.** The pairs gather one *derived table* per probe
+//!    partition whose columns are exactly the query's references
+//!    (`l.g`, `r.v`, …), and the ordinary single-table engine plans and
+//!    executes the GROUP BY/HAVING/ORDER BY/LIMIT tail over it — so
+//!    every aggregation algorithm, the morsel executor and the
+//!    coordinator tail run unchanged.
+//!
+//! `execute` owns steps 3–5 up to the derived tables; the caller
+//! supplies the morsel runner — the [`crate::Executor`] pool for a
+//! sharded database, the calling thread for a single one
+//! (`execute_inline`).
 //!
 //! The sharded exchange picks between two strategies
 //! ([`JoinStrategy`]): **broadcast** builds one global index over the
@@ -34,24 +43,29 @@
 //! strategies produce identical pairs; the choice only moves work.
 //!
 //! Determinism: build buckets are sorted by row id when the index
-//! freezes, probe rows are scanned in order per shard, and the
-//! aggregation tail is order-insensitive — so single-session, sharded
-//! broadcast and sharded partition answers are bit-identical (the
-//! differential tests in `tests/join.rs` hold all of them against a
-//! nested-loop oracle).
+//! freezes, probe outcomes are ordered by `(partition, row)` whatever
+//! order the morsels completed in, and the aggregation tail is
+//! order-insensitive — so single-session, sharded broadcast and sharded
+//! partition answers are bit-identical (the differential tests in
+//! `tests/join.rs` hold all of them against a nested-loop oracle).
 
+use crate::cancel::CancelToken;
 use crate::catalogue::{CatalogueId, SharedCatalogue};
 use crate::database::{Database, SqlError};
 use crate::delta::TableStats;
 use crate::engine::QueryOutput;
+use crate::executor::ExecutorConfig;
 use crate::keydict::KeyDictionary;
 use crate::plan::{PlanError, PlanStep};
 use crate::query::AggregateQuery;
+use crate::shard::merged_data_version;
 use crate::snapshot::Snapshot;
 use crate::sql::{parse_template, JoinClause, SqlTemplate};
 use crate::table::Table;
+use crate::trace::QueryTrace;
 use std::fmt;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// How a sharded join moves the build side to the probe side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,14 +93,14 @@ impl fmt::Display for JoinStrategy {
 
 /// One column the query references, resolved against the joined pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ColumnRef {
+struct ColumnRef {
     /// The name as the query spells it (`l.g`, or bare `g` when
     /// unambiguous) — the derived table's column name.
-    pub(crate) name: String,
+    name: String,
     /// Whether the column lives on the `FROM` (left) table.
-    pub(crate) left: bool,
+    left: bool,
     /// The actual column name on that table.
-    pub(crate) column: String,
+    column: String,
 }
 
 /// A planned equi-join: the adaptive build-side and strategy decision,
@@ -97,21 +111,21 @@ pub(crate) struct ColumnRef {
 /// [`crate::Database::explain_join_sql`].
 #[derive(Debug, Clone)]
 pub struct JoinPlan {
-    pub(crate) left: String,
-    pub(crate) right: String,
-    pub(crate) on: Vec<(String, String)>,
-    pub(crate) agg: AggregateQuery,
-    pub(crate) refs: Vec<ColumnRef>,
-    pub(crate) build_right: bool,
-    pub(crate) strategy: JoinStrategy,
-    pub(crate) steps: Vec<PlanStep>,
-    pub(crate) build_rows: usize,
-    pub(crate) probe_rows: usize,
-    pub(crate) build_distinct: u64,
-    pub(crate) build_sorted: bool,
-    pub(crate) left_version: u64,
-    pub(crate) right_version: u64,
-    pub(crate) as_of: Option<String>,
+    left: String,
+    right: String,
+    on: Vec<(String, String)>,
+    agg: AggregateQuery,
+    refs: Vec<ColumnRef>,
+    build_right: bool,
+    strategy: JoinStrategy,
+    steps: Vec<PlanStep>,
+    build_rows: usize,
+    probe_rows: usize,
+    build_distinct: u64,
+    build_sorted: bool,
+    left_version: u64,
+    right_version: u64,
+    as_of: Option<String>,
 }
 
 impl JoinPlan {
@@ -219,39 +233,13 @@ impl JoinPlan {
             .sql(&format!("{} JOIN {} ON {on}", self.left, self.right))
     }
 
-    /// The build side's join key columns, in ON order.
-    pub(crate) fn build_keys(&self) -> Vec<&str> {
+    /// The build (`true`) or probe side's join key columns, in ON
+    /// order.
+    fn side_keys(&self, build: bool) -> Vec<&str> {
+        let right = build == self.build_right;
         self.on
             .iter()
-            .map(|(l, r)| {
-                if self.build_right {
-                    r.as_str()
-                } else {
-                    l.as_str()
-                }
-            })
-            .collect()
-    }
-
-    /// The probe side's join key columns, in ON order.
-    pub(crate) fn probe_keys(&self) -> Vec<&str> {
-        self.on
-            .iter()
-            .map(|(l, r)| {
-                if self.build_right {
-                    l.as_str()
-                } else {
-                    r.as_str()
-                }
-            })
-            .collect()
-    }
-
-    /// The referenced columns living on the build / probe side.
-    pub(crate) fn side_refs(&self, build: bool) -> Vec<&ColumnRef> {
-        self.refs
-            .iter()
-            .filter(|r| (r.left != self.build_right) == build)
+            .map(|(l, r)| if right { r.as_str() } else { l.as_str() })
             .collect()
     }
 
@@ -292,24 +280,92 @@ impl JoinPlan {
 /// broadcast (one global dictionary) rather than partitioned.
 const BROADCAST_ROWS: usize = 1024;
 
+/// One join input resolved at one cut: the table's partitions in cut
+/// order (one for a single database, one per shard), their statistics
+/// merged and their data versions merged — everything the planner and
+/// the exchange read of a side.
+#[derive(Debug)]
+pub(crate) struct JoinSide {
+    parts: Vec<Table>,
+    stats: TableStats,
+    version: u64,
+}
+
+impl JoinSide {
+    /// `table` across every partition of `cut`: the statistics merge
+    /// with [`TableStats::merged`] (a single part keeps its own, minus
+    /// the zone maps the planner never reads) and the data versions
+    /// with the sharded merge rule (a single part keeps its own).
+    fn resolve(cut: &[Snapshot], table: &str) -> Result<Self, SqlError> {
+        let missing = || SqlError::UnknownTable(table.to_string());
+        let parts: Option<Vec<Table>> = cut.iter().map(|s| s.table(table)).collect();
+        let stats: Option<Vec<TableStats>> = cut.iter().map(|s| s.table_stats(table)).collect();
+        let versions: Option<Vec<u64>> = cut.iter().map(|s| s.data_version(table)).collect();
+        Ok(Self {
+            parts: parts.ok_or_else(missing)?,
+            stats: stats
+                .as_deref()
+                .and_then(TableStats::merged)
+                .ok_or_else(missing)?,
+            version: versions.and_then(merged_data_version).ok_or_else(missing)?,
+        })
+    }
+
+    /// A one-part side over a frozen `AS OF` table, with statistics
+    /// seeded from its columns.
+    pub(crate) fn frozen(table: Table, version: u64) -> Self {
+        Self {
+            stats: TableStats::seed(&table),
+            parts: vec![table],
+            version,
+        }
+    }
+
+    /// The schema every partition shares.
+    fn schema(&self) -> &Table {
+        &self.parts[0]
+    }
+}
+
+/// Resolves both tables of `SELECT agg FROM left JOIN join` at one cut
+/// — `cut[i]` is partition `i`'s snapshot and must have been taken from
+/// `owners[i]` ([`SqlError::ForeignSnapshot`] otherwise) — and plans
+/// the join over them.
+pub(crate) fn plan_cut<'a>(
+    agg: &AggregateQuery,
+    left: &str,
+    join: &JoinClause,
+    cut: &[Snapshot],
+    owners: impl IntoIterator<Item = &'a SharedCatalogue>,
+) -> Result<(JoinPlan, JoinSide, JoinSide), SqlError> {
+    if !cut
+        .iter()
+        .zip(owners)
+        .all(|(s, c)| s.catalogue().is_same(c))
+    {
+        return Err(SqlError::ForeignSnapshot);
+    }
+    let lside = JoinSide::resolve(cut, left)?;
+    let rside = JoinSide::resolve(cut, &join.table)?;
+    let plan = plan_join(agg, join, left, &lside, &rside, None)?;
+    Ok((plan, lside, rside))
+}
+
 /// Plans an equi-join: validates the ON columns, resolves every column
 /// the query references against the joined pair, picks the build side
-/// and the sharded exchange strategy from the two tables' live
-/// statistics. `shards <= 1` plans [`JoinStrategy::Local`].
-#[allow(clippy::too_many_arguments)]
+/// from the two sides' statistics and the exchange strategy from their
+/// partition count — one partition plans [`JoinStrategy::Local`].
 pub(crate) fn plan_join(
     agg: &AggregateQuery,
     join: &JoinClause,
     left_name: &str,
-    left_schema: &Table,
-    left_stats: &TableStats,
-    left_version: u64,
-    right_schema: &Table,
-    right_stats: &TableStats,
-    right_version: u64,
-    shards: usize,
+    left: &JoinSide,
+    right: &JoinSide,
     as_of: Option<String>,
 ) -> Result<JoinPlan, PlanError> {
+    let (left_schema, left_stats) = (left.schema(), &left.stats);
+    let (right_schema, right_stats) = (right.schema(), &right.stats);
+    let shards = left.parts.len();
     let right_name = join.table.as_str();
     if left_stats.rows() == 0 || right_stats.rows() == 0 {
         return Err(PlanError::EmptyTable);
@@ -364,44 +420,31 @@ pub(crate) fn plan_join(
             column: column.to_string(),
         });
     }
-    // §V-D-style build-side choice from live statistics.
-    let key_facts = |stats: &TableStats, keys: &[&String]| {
+    // §V-D-style build-side choice from live statistics: fewer rows,
+    // then a smaller key distinct estimate, then sorted keys; a full
+    // tie builds the right side.
+    let facts = |stats: &TableStats, right: bool| {
         let mut distinct: u64 = 1;
         let mut sorted = true;
-        for key in keys {
-            if let Some(col) = stats.column(key) {
-                distinct = distinct.saturating_mul(col.distinct_estimate().max(1));
-                sorted &= col.sorted;
-            } else {
-                sorted = false;
+        for (l, r) in &join.on {
+            match stats.column(if right { r } else { l }) {
+                Some(col) => {
+                    distinct = distinct.saturating_mul(col.distinct_estimate().max(1));
+                    sorted &= col.sorted;
+                }
+                None => sorted = false,
             }
         }
-        (distinct.min(stats.rows() as u64), sorted)
+        (stats.rows(), distinct.min(stats.rows() as u64), !sorted)
     };
-    let lkeys: Vec<&String> = join.on.iter().map(|(l, _)| l).collect();
-    let rkeys: Vec<&String> = join.on.iter().map(|(_, r)| r).collect();
-    let (ldistinct, lsorted) = key_facts(left_stats, &lkeys);
-    let (rdistinct, rsorted) = key_facts(right_stats, &rkeys);
-    let (lrows, rrows) = (left_stats.rows(), right_stats.rows());
-    let build_right = if rrows != lrows {
-        rrows < lrows
-    } else if rdistinct != ldistinct {
-        rdistinct < ldistinct
-    } else if rsorted != lsorted {
-        rsorted
+    let (lfacts, rfacts) = (facts(left_stats, false), facts(right_stats, true));
+    let build_right = rfacts <= lfacts;
+    let ((build_rows, build_distinct, build_unsorted), (probe_rows, ..)) = if build_right {
+        (rfacts, lfacts)
     } else {
-        true
+        (lfacts, rfacts)
     };
-    let (build_rows, probe_rows) = if build_right {
-        (rrows, lrows)
-    } else {
-        (lrows, rrows)
-    };
-    let (build_distinct, build_sorted) = if build_right {
-        (rdistinct, rsorted)
-    } else {
-        (ldistinct, lsorted)
-    };
+    let build_sorted = !build_unsorted;
     let strategy = if shards <= 1 {
         JoinStrategy::Local
     } else if build_rows <= BROADCAST_ROWS.max(probe_rows / shards) {
@@ -441,14 +484,14 @@ pub(crate) fn plan_join(
         probe_rows,
         build_distinct,
         build_sorted,
-        left_version,
-        right_version,
+        left_version: left.version,
+        right_version: right.version,
         as_of,
     })
 }
 
 /// Routes a key tuple to one of `parts` hash partitions (FNV-1a).
-pub(crate) fn route(tuple: &[u32], parts: usize) -> usize {
+fn route(tuple: &[u32], parts: usize) -> usize {
     if parts <= 1 {
         return 0;
     }
@@ -468,13 +511,13 @@ pub(crate) fn route(tuple: &[u32], parts: usize) -> usize {
 /// ([`build_range`]); freezing sorts every bucket so the index is
 /// deterministic however morsels interleaved.
 #[derive(Debug, Default)]
-pub(crate) struct JoinBuildSink {
+struct JoinBuildSink {
     dict: Arc<KeyDictionary>,
     buckets: Mutex<Vec<Vec<u32>>>,
 }
 
 impl JoinBuildSink {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
@@ -491,7 +534,7 @@ impl JoinBuildSink {
 
     /// The frozen, deterministic probe index: every bucket sorted by
     /// build row id (concurrent morsels insert in completion order).
-    pub(crate) fn freeze(&self) -> JoinIndex {
+    fn freeze(&self) -> JoinIndex {
         let mut buckets = self.buckets.lock().expect("join bucket lock").clone();
         for bucket in &mut buckets {
             bucket.sort_unstable();
@@ -506,27 +549,27 @@ impl JoinBuildSink {
 /// The frozen build side of a hash join: lookup a probe tuple in the
 /// dictionary (no interning), then emit its bucket's build rows.
 #[derive(Debug)]
-pub(crate) struct JoinIndex {
+struct JoinIndex {
     dict: Arc<KeyDictionary>,
     buckets: Vec<Vec<u32>>,
 }
 
 impl JoinIndex {
     /// Distinct build key tuples interned into this partition.
-    pub(crate) fn entries(&self) -> usize {
+    fn entries(&self) -> usize {
         self.dict.len()
     }
 
     /// Intern calls answered by an existing entry (duplicate build
     /// keys).
-    pub(crate) fn dict_hits(&self) -> u64 {
+    fn dict_hits(&self) -> u64 {
         self.dict.hits()
     }
 }
 
 /// Interns build rows `lo..hi` of `keys` into `sinks` — one sink
 /// broadcasts, several partition by [`route`] of the key tuple.
-pub(crate) fn build_range(sinks: &[JoinBuildSink], keys: &[Arc<[u32]>], lo: usize, hi: usize) {
+fn build_range(sinks: &[JoinBuildSink], keys: &[Arc<[u32]>], lo: usize, hi: usize) {
     let mut tuple = vec![0u32; keys.len()];
     let mut staged: Vec<Vec<(usize, u32)>> = vec![Vec::new(); sinks.len()];
     for row in lo..hi {
@@ -548,7 +591,7 @@ pub(crate) fn build_range(sinks: &[JoinBuildSink], keys: &[Arc<[u32]>], lo: usiz
 /// Probes rows `lo..hi` of `keys` against `indexes` (routing each row
 /// by [`route`] when partitioned), returning matched
 /// `(probe row, build row)` pairs in probe-row order.
-pub(crate) fn probe_range(
+fn probe_range(
     indexes: &[JoinIndex],
     keys: &[Arc<[u32]>],
     lo: usize,
@@ -571,49 +614,42 @@ pub(crate) fn probe_range(
     pairs
 }
 
-/// The columns one join side contributes, by actual column name —
-/// straight `Arc` shares for a single table, concatenated across
-/// partitions for the sharded build side (global row ids).
+/// The columns one join side contributes, by actual column name.
 #[derive(Debug)]
-pub(crate) struct ColumnSet {
+struct ColumnSet {
     cols: Vec<(String, Arc<[u32]>)>,
 }
 
 impl ColumnSet {
-    /// Zero-copy column shares from one table.
-    pub(crate) fn from_table(table: &Table, names: &[&str]) -> Self {
-        Self {
-            cols: names
-                .iter()
-                .map(|&n| {
-                    (
-                        n.to_string(),
-                        table.column_shared(n).expect("resolved column exists"),
-                    )
-                })
-                .collect(),
+    /// The columns `plan` reads from the build (`true`) or probe side
+    /// — its join keys plus every referenced column — over `parts`:
+    /// zero-copy shares of a single table, concatenated in partition
+    /// order otherwise (the sharded build side's global row id space).
+    fn new(plan: &JoinPlan, build: bool, parts: &[Table]) -> Self {
+        let mut names = plan.side_keys(build);
+        for r in &plan.refs {
+            if (r.left != plan.build_right) == build && !names.contains(&r.column.as_str()) {
+                names.push(&r.column);
+            }
         }
-    }
-
-    /// Columns concatenated across partitions, in partition order —
-    /// the sharded build side's global row id space.
-    pub(crate) fn concat(parts: &[Table], names: &[&str]) -> Self {
+        let column = |name: &str| match parts {
+            [one] => one.column_shared(name),
+            parts => parts
+                .iter()
+                .map(|p| p.column(name))
+                .collect::<Option<Vec<_>>>()
+                .map(|cols| cols.concat().into()),
+        };
         Self {
             cols: names
-                .iter()
-                .map(|&n| {
-                    let mut data = Vec::new();
-                    for part in parts {
-                        data.extend_from_slice(part.column(n).expect("resolved column exists"));
-                    }
-                    (n.to_string(), Arc::from(data))
-                })
+                .into_iter()
+                .map(|n| (n.to_string(), column(n).expect("resolved column exists")))
                 .collect(),
         }
     }
 
     /// One column's data by actual column name.
-    pub(crate) fn get(&self, name: &str) -> &Arc<[u32]> {
+    fn get(&self, name: &str) -> &Arc<[u32]> {
         self.cols
             .iter()
             .find(|(n, _)| n == name)
@@ -622,30 +658,14 @@ impl ColumnSet {
     }
 
     /// The key columns named by `names`, in order (shared, cheap).
-    pub(crate) fn keys(&self, names: &[&str]) -> Vec<Arc<[u32]>> {
+    fn keys(&self, names: &[&str]) -> Vec<Arc<[u32]>> {
         names.iter().map(|&n| Arc::clone(self.get(n))).collect()
     }
 }
 
-/// The actual column names a side must contribute: its join keys plus
-/// every referenced column, deduplicated.
-pub(crate) fn side_columns(plan: &JoinPlan, build: bool) -> Vec<&str> {
-    let mut names: Vec<&str> = if build {
-        plan.build_keys()
-    } else {
-        plan.probe_keys()
-    };
-    for r in plan.side_refs(build) {
-        if !names.contains(&r.column.as_str()) {
-            names.push(&r.column);
-        }
-    }
-    names
-}
-
 /// Gathers the matched pairs into the derived table the aggregation
 /// runs over: one column per reference, named as the query spells it.
-pub(crate) fn derived_table(
+fn derived_table(
     plan: &JoinPlan,
     pairs: &[(u32, u32)],
     probe: &ColumnSet,
@@ -668,67 +688,156 @@ pub(crate) fn derived_table(
     out
 }
 
-/// Runs a planned join start to finish on the calling thread (the
-/// single-session [`JoinStrategy::Local`] path): build, probe, gather
-/// the derived table.
-pub(crate) fn join_local(plan: &JoinPlan, left: &Table, right: &Table) -> Table {
-    join_local_traced(plan, left, right).0
-}
-
-/// Host-side observations of one local join execution, recorded for
-/// `EXPLAIN ANALYZE`. The join runs entirely on the host (no simulated
-/// machine work), so recording them cannot perturb any result.
-pub(crate) struct LocalJoinObs {
-    /// Build-side input rows interned.
-    pub(crate) build_rows: usize,
-    /// Distinct key tuples the build dictionary holds.
-    pub(crate) entries: usize,
-    /// Intern calls answered by an existing entry.
-    pub(crate) dict_hits: u64,
-    /// Probe-side input rows streamed.
-    pub(crate) probe_rows: usize,
-    /// Matched `(probe, build)` pairs emitted.
-    pub(crate) pairs: usize,
-    /// Host nanoseconds spent freezing the build index (the barrier
-    /// between the phases). Wall-clock; diagnostic only.
-    pub(crate) freeze_ns: u64,
-}
-
-/// [`join_local`] plus the [`LocalJoinObs`] the run produced. The
-/// untraced path calls this too and drops the observations — they are
-/// a handful of host-side reads, not measurable work.
-pub(crate) fn join_local_traced(
+/// Runs a planned join's exchange over its resolved sides and returns
+/// one derived table per probe partition, in partition order:
+///
+/// 1. **Build**, cooperatively: the build side's partitions (shared
+///    zero-copy when there is one, concatenated into one global row id
+///    space otherwise) are cut into `morsel_rows`-row morsels that
+///    intern into the shared sink(s) — one sink under
+///    [`JoinStrategy::Local`] / [`JoinStrategy::Broadcast`], one per
+///    probe partition keyed by a hash of the join key under
+///    [`JoinStrategy::Partition`].
+/// 2. **Freeze**: the barrier turns the sinks into deterministic
+///    indexes.
+/// 3. **Probe**: each probe partition is cut into morsels streamed
+///    through the indexes; the outcomes are put in `(partition, row)`
+///    order, so the pairs do not depend on completion order.
+///
+/// `run` executes one phase's morsels — on a pool or inline — and
+/// returns their outcomes in any order, or the error (cancellation)
+/// that stopped them. With `trace`, the build/probe host steps, the
+/// dictionary counters and the freeze wall time are recorded; the join
+/// is host-side work, so it carries no simulated cycles.
+pub(crate) fn execute(
     plan: &JoinPlan,
-    left: &Table,
-    right: &Table,
-) -> (Table, LocalJoinObs) {
-    let (build_t, probe_t) = if plan.build_right {
+    left: &JoinSide,
+    right: &JoinSide,
+    morsel_rows: usize,
+    trace: Option<&mut QueryTrace>,
+    mut run: impl FnMut(Vec<JoinMorsel>) -> Result<Vec<JoinOutcome>, SqlError>,
+) -> Result<Vec<Table>, SqlError> {
+    let (bside, pside) = if plan.build_right {
         (right, left)
     } else {
         (left, right)
     };
-    let build = ColumnSet::from_table(build_t, &side_columns(plan, true));
-    let probe = ColumnSet::from_table(probe_t, &side_columns(plan, false));
-    let sinks = [JoinBuildSink::new()];
-    build_range(&sinks, &build.keys(&plan.build_keys()), 0, build_t.rows());
-    let freeze_start = std::time::Instant::now();
-    let indexes = [sinks[0].freeze()];
-    let freeze_ns = freeze_start.elapsed().as_nanos() as u64;
-    let pairs = probe_range(&indexes, &probe.keys(&plan.probe_keys()), 0, probe_t.rows());
-    let obs = LocalJoinObs {
-        build_rows: build_t.rows(),
-        entries: indexes[0].entries(),
-        dict_hits: indexes[0].dict_hits(),
-        probe_rows: probe_t.rows(),
-        pairs: pairs.len(),
-        freeze_ns,
+    let morsel_rows = morsel_rows.max(1);
+    let ranges = move |rows: usize| {
+        (0..rows)
+            .step_by(morsel_rows)
+            .map(move |lo| (lo, (lo + morsel_rows).min(rows)))
     };
-    (derived_table(plan, &pairs, &probe, &build), obs)
+
+    // Build morsels carry a spreading tag so a pool seeds them across
+    // every worker.
+    let build = ColumnSet::new(plan, true, &bside.parts);
+    let build_rows: usize = bside.parts.iter().map(Table::rows).sum();
+    let nsinks = match plan.strategy {
+        JoinStrategy::Partition => pside.parts.len(),
+        JoinStrategy::Local | JoinStrategy::Broadcast => 1,
+    };
+    let sinks: Arc<Vec<JoinBuildSink>> =
+        Arc::new((0..nsinks).map(|_| JoinBuildSink::new()).collect());
+    let keys = Arc::new(build.keys(&plan.side_keys(true)));
+    run(ranges(build_rows)
+        .enumerate()
+        .map(|(tag, (lo, hi))| JoinMorsel {
+            shard: tag,
+            keys: Arc::clone(&keys),
+            lo,
+            hi,
+            work: JoinWork::Build {
+                sinks: Arc::clone(&sinks),
+            },
+        })
+        .collect())?;
+
+    let freeze = Instant::now();
+    let indexes: Arc<Vec<JoinIndex>> = Arc::new(sinks.iter().map(JoinBuildSink::freeze).collect());
+    let freeze_ns = freeze.elapsed().as_nanos() as u64;
+
+    let probes: Vec<ColumnSet> = pside
+        .parts
+        .iter()
+        .map(|t| ColumnSet::new(plan, false, std::slice::from_ref(t)))
+        .collect();
+    let mut morsels = Vec::new();
+    for (part, (set, table)) in probes.iter().zip(&pside.parts).enumerate() {
+        let keys = Arc::new(set.keys(&plan.side_keys(false)));
+        morsels.extend(ranges(table.rows()).map(|(lo, hi)| JoinMorsel {
+            shard: part,
+            keys: Arc::clone(&keys),
+            lo,
+            hi,
+            work: JoinWork::Probe {
+                indexes: Arc::clone(&indexes),
+            },
+        }));
+    }
+    let mut outcomes = run(morsels)?;
+    outcomes.sort_by_key(|o| (o.shard, o.lo));
+
+    if let Some(t) = trace {
+        let entries: u64 = indexes.iter().map(|i| i.entries() as u64).sum();
+        let probe_rows: u64 = pside.parts.iter().map(|p| p.rows() as u64).sum();
+        let pairs: u64 = outcomes.iter().map(|o| o.pairs.len() as u64).sum();
+        for step in plan.steps() {
+            let (rows_in, rows_out) = match step {
+                PlanStep::JoinBuild { .. } => (build_rows as u64, entries),
+                PlanStep::JoinProbe { .. } => (probe_rows, pairs),
+                _ => continue,
+            };
+            t.record_host_step(step.to_string(), step.estimated_rows(), rows_in, rows_out);
+        }
+        t.dict_entries += entries;
+        t.dict_hits += indexes.iter().map(JoinIndex::dict_hits).sum::<u64>();
+        t.freeze_ns = Some(t.freeze_ns.unwrap_or(0) + freeze_ns);
+    }
+
+    Ok(probes
+        .iter()
+        .enumerate()
+        .map(|(part, set)| {
+            let pairs: Vec<(u32, u32)> = outcomes
+                .iter()
+                .filter(|o| o.shard == part)
+                .flat_map(|o| o.pairs.iter().copied())
+                .collect();
+            derived_table(plan, &pairs, set, &build)
+        })
+        .collect())
+}
+
+/// The single-database exchange: [`execute`] with every morsel run on
+/// the calling thread at the default morsel size, each admitted through
+/// `cancel` when one is given. One partition yields one derived table.
+pub(crate) fn execute_inline(
+    plan: &JoinPlan,
+    left: &JoinSide,
+    right: &JoinSide,
+    trace: Option<&mut QueryTrace>,
+    cancel: Option<&CancelToken>,
+) -> Result<Table, SqlError> {
+    let run = |morsels: Vec<JoinMorsel>| {
+        morsels
+            .iter()
+            .map(|m| {
+                if let Some(token) = cancel {
+                    token.admit_morsel().map_err(SqlError::Cancelled)?;
+                }
+                Ok(m.run(false))
+            })
+            .collect()
+    };
+    let morsel_rows = ExecutorConfig::default().morsel_rows;
+    let mut derived = execute(plan, left, right, morsel_rows, trace, run)?;
+    Ok(derived.pop().expect("one partition, one derived table"))
 }
 
 /// What a join morsel does: cooperatively intern a build row range, or
 /// stream a probe row range through the frozen indexes.
-pub(crate) enum JoinWork {
+enum JoinWork {
     /// Intern rows into the shared build sinks.
     Build {
         /// One sink broadcasts; several partition by key hash.
@@ -748,25 +857,25 @@ pub(crate) struct JoinMorsel {
     /// executor seeds deques by `shard % workers`.
     pub(crate) shard: usize,
     /// The key columns this morsel reads.
-    pub(crate) keys: Arc<Vec<Arc<[u32]>>>,
+    keys: Arc<Vec<Arc<[u32]>>>,
     pub(crate) lo: usize,
     pub(crate) hi: usize,
-    pub(crate) work: JoinWork,
+    work: JoinWork,
 }
 
 /// What one join morsel produced.
 pub(crate) struct JoinOutcome {
-    pub(crate) shard: usize,
-    pub(crate) lo: usize,
+    shard: usize,
+    lo: usize,
     /// Matched `(probe row, build row)` pairs (empty for build
     /// morsels).
-    pub(crate) pairs: Vec<(u32, u32)>,
+    pairs: Vec<(u32, u32)>,
     /// Whether a worker stole this morsel from another deque.
     pub(crate) stolen: bool,
 }
 
 impl JoinMorsel {
-    /// Executes the morsel (on a pool worker).
+    /// Executes the morsel (on a pool worker, or inline).
     pub(crate) fn run(&self, stolen: bool) -> JoinOutcome {
         let pairs = match &self.work {
             JoinWork::Build { sinks } => {
@@ -827,8 +936,7 @@ impl PreparedJoin {
         // Plan the sentinel query now: prepare-time errors (unknown
         // tables, unresolvable columns) beat first-execution surprises.
         let snap = catalogue.snapshot();
-        let query = stmt.template.query.clone();
-        stmt.plan_at(&snap, &query)?;
+        stmt.plan(catalogue, &snap, &stmt.template.query)?;
         Ok(stmt)
     }
 
@@ -860,19 +968,7 @@ impl PreparedJoin {
     /// wrapped in [`SqlError::Plan`]), plus the usual join planning
     /// errors when the join must be rebuilt.
     pub fn execute(&mut self, db: &mut Database, params: &[u64]) -> Result<QueryOutput, SqlError> {
-        let agg = crate::prepared::bind_slots(&self.template, params).map_err(SqlError::Plan)?;
-        {
-            let owned;
-            let snap = match db.txn_snapshot() {
-                Some(snap) => snap,
-                None => {
-                    owned = db.catalogue().snapshot();
-                    &owned
-                }
-            };
-            self.refresh(db.catalogue(), snap, &agg)?;
-        }
-        self.run_tail(db, &agg)
+        self.execute_with(db, None, params)
     }
 
     /// Binds `params` and executes **at a pinned snapshot**: both
@@ -889,22 +985,36 @@ impl PreparedJoin {
         snap: &Snapshot,
         params: &[u64],
     ) -> Result<QueryOutput, SqlError> {
-        if !snap.catalogue().is_same(db.catalogue()) {
+        self.execute_with(db, Some(snap), params)
+    }
+
+    /// The one execution body: binds, refreshes the cached join at
+    /// `snap` (else the open read-only transaction's snapshot, else a
+    /// snapshot-of-now) and runs the (cheap) aggregation tail over the
+    /// cached derived table.
+    fn execute_with(
+        &mut self,
+        db: &mut Database,
+        snap: Option<&Snapshot>,
+        params: &[u64],
+    ) -> Result<QueryOutput, SqlError> {
+        if snap.is_some_and(|s| !s.catalogue().is_same(db.catalogue())) {
             return Err(SqlError::ForeignSnapshot);
         }
         let agg = crate::prepared::bind_slots(&self.template, params).map_err(SqlError::Plan)?;
-        self.refresh(db.catalogue(), snap, &agg)?;
-        self.run_tail(db, &agg)
-    }
-
-    /// Runs the (cheap) aggregation tail over the cached derived table.
-    fn run_tail(
-        &mut self,
-        db: &mut Database,
-        agg: &AggregateQuery,
-    ) -> Result<QueryOutput, SqlError> {
+        {
+            let owned;
+            let snap = match snap.or(db.txn_snapshot()) {
+                Some(snap) => snap,
+                None => {
+                    owned = db.catalogue().snapshot();
+                    &owned
+                }
+            };
+            self.refresh(db.catalogue(), snap, &agg)?;
+        }
         let cached = self.cached.as_ref().expect("refresh filled the cache");
-        let out = db.run_join_tail(&cached.plan.steps, agg, &cached.derived, None)?;
+        let out = db.run_join_tail(&cached.plan.steps, &agg, &cached.derived, None)?;
         self.executions += 1;
         Ok(out)
     }
@@ -934,10 +1044,8 @@ impl PreparedJoin {
             .as_ref()
             .is_some_and(|c| c.catalogue.matches(catalogue) && c.left == left && c.right == right);
         if !hit {
-            let plan = self.plan_at(snap, agg)?;
-            let ltab = snap.table(&plan.left).expect("version implies table");
-            let rtab = snap.table(&plan.right).expect("version implies table");
-            let derived = join_local(&plan, &ltab, &rtab);
+            let (plan, lside, rside) = self.plan(catalogue, snap, agg)?;
+            let derived = execute_inline(&plan, &lside, &rside, None, None)?;
             self.cached = Some(CachedJoin {
                 catalogue: catalogue.id(),
                 left,
@@ -950,37 +1058,16 @@ impl PreparedJoin {
         Ok(())
     }
 
-    /// Plans the join at a snapshot cut (no execution).
-    fn plan_at(&self, snap: &Snapshot, agg: &AggregateQuery) -> Result<JoinPlan, SqlError> {
+    /// Resolves both tables at `snap` and plans the join over them.
+    fn plan(
+        &self,
+        catalogue: &SharedCatalogue,
+        snap: &Snapshot,
+        agg: &AggregateQuery,
+    ) -> Result<(JoinPlan, JoinSide, JoinSide), SqlError> {
         let join = self.template.join.as_ref().expect("join template");
-        let fetch = |table: &str| -> Result<(Table, TableStats, u64), SqlError> {
-            let t = snap
-                .table(table)
-                .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-            let stats = snap
-                .table_stats(table)
-                .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-            let version = snap
-                .data_version(table)
-                .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
-            Ok((t, stats, version))
-        };
-        let (ltab, lstats, lver) = fetch(&self.template.table)?;
-        let (rtab, rstats, rver) = fetch(&join.table)?;
-        plan_join(
-            agg,
-            join,
-            &self.template.table,
-            &ltab,
-            &lstats,
-            lver,
-            &rtab,
-            &rstats,
-            rver,
-            1,
-            None,
-        )
-        .map_err(SqlError::Plan)
+        let cut = std::slice::from_ref(snap);
+        plan_cut(agg, &self.template.table, join, cut, [catalogue])
     }
 }
 
@@ -1000,26 +1087,45 @@ mod tests {
         (l, r)
     }
 
-    fn plan(l: &Table, r: &Table, shards: usize) -> JoinPlan {
-        let agg = AggregateQuery::paper("l.k", "l.v");
-        let join = JoinClause {
+    /// `table`'s rows dealt into `parts` contiguous partitions — the
+    /// shape a sharded cut resolves to.
+    fn side(table: &Table, parts: usize) -> JoinSide {
+        let rows = table.rows();
+        let parts = (0..parts)
+            .map(|p| {
+                let (lo, hi) = (p * rows / parts, (p + 1) * rows / parts);
+                table
+                    .column_names()
+                    .iter()
+                    .fold(Table::new(table.name()), |part, &name| {
+                        let data = table.column(name).unwrap()[lo..hi].to_vec();
+                        part.with_column(name, data)
+                    })
+            })
+            .collect();
+        JoinSide {
+            parts,
+            stats: TableStats::seed(table),
+            version: 1,
+        }
+    }
+
+    fn join_clause() -> JoinClause {
+        JoinClause {
             table: "r".into(),
             on: vec![("k".into(), "k".into())],
-        };
-        plan_join(
-            &agg,
-            &join,
-            "l",
-            l,
-            &TableStats::seed(l),
-            1,
-            r,
-            &TableStats::seed(r),
-            1,
-            shards,
-            None,
-        )
-        .unwrap()
+        }
+    }
+
+    fn plan(l: &Table, r: &Table, shards: usize) -> JoinPlan {
+        let agg = AggregateQuery::paper("l.k", "l.v");
+        let (l, r) = (side(l, shards), side(r, shards));
+        plan_join(&agg, &join_clause(), "l", &l, &r, None).unwrap()
+    }
+
+    /// Runs every morsel on the calling thread, in order.
+    fn inline(morsels: Vec<JoinMorsel>) -> Result<Vec<JoinOutcome>, SqlError> {
+        Ok(morsels.iter().map(|m| m.run(false)).collect())
     }
 
     #[test]
@@ -1039,7 +1145,10 @@ mod tests {
     fn local_join_produces_the_nested_loop_pairs() {
         let (l, r) = tables();
         let p = plan(&l, &r, 1);
-        let derived = join_local(&p, &l, &r);
+        // Two-row morsels: the build and the probe both span several.
+        let mut derived = execute(&p, &side(&l, 1), &side(&r, 1), 2, None, inline).unwrap();
+        assert_eq!(derived.len(), 1, "one partition, one derived table");
+        let derived = derived.pop().unwrap();
         // Nested loop: l rows with k ∈ {1, 2} match; k=2 matches two
         // r rows.
         assert_eq!(derived.rows(), 4);
@@ -1050,41 +1159,33 @@ mod tests {
     #[test]
     fn partitioned_probe_matches_broadcast() {
         let (l, r) = tables();
-        let p = plan(&l, &r, 1);
-        let build = ColumnSet::from_table(&r, &side_columns(&p, true));
-        let probe = ColumnSet::from_table(&l, &side_columns(&p, false));
-        let pairs_for = |parts: usize| {
-            let sinks: Vec<JoinBuildSink> = (0..parts).map(|_| JoinBuildSink::new()).collect();
-            build_range(&sinks, &build.keys(&p.build_keys()), 0, r.rows());
-            let indexes: Vec<JoinIndex> = sinks.iter().map(JoinBuildSink::freeze).collect();
-            probe_range(&indexes, &probe.keys(&p.probe_keys()), 0, l.rows())
+        let agg = AggregateQuery::paper("l.k", "r.w");
+        let (ls, rs) = (side(&l, 4), side(&r, 4));
+        let pairs_for = |strategy: JoinStrategy| {
+            let mut p = plan_join(&agg, &join_clause(), "l", &ls, &rs, None).unwrap();
+            p.strategy = strategy;
+            let derived = execute(&p, &ls, &rs, 1, None, inline).unwrap();
+            assert_eq!(derived.len(), 4, "one derived table per probe partition");
+            derived
+                .iter()
+                .flat_map(|t| {
+                    let (k, w) = (t.column("l.k").unwrap(), t.column("r.w").unwrap());
+                    k.iter().copied().zip(w.iter().copied()).collect::<Vec<_>>()
+                })
+                .collect::<Vec<_>>()
         };
-        assert_eq!(pairs_for(1), pairs_for(4));
+        assert_eq!(
+            pairs_for(JoinStrategy::Broadcast),
+            pairs_for(JoinStrategy::Partition)
+        );
     }
 
     #[test]
     fn ambiguous_and_unknown_references_are_typed_errors() {
         let (l, r) = tables();
-        let join = JoinClause {
-            table: "r".into(),
-            on: vec![("k".into(), "k".into())],
-        };
-        let err = |agg: AggregateQuery| {
-            plan_join(
-                &agg,
-                &join,
-                "l",
-                &l,
-                &TableStats::seed(&l),
-                1,
-                &r,
-                &TableStats::seed(&r),
-                1,
-                1,
-                None,
-            )
-            .unwrap_err()
-        };
+        let (l, r) = (side(&l, 1), side(&r, 1));
+        let err =
+            |agg: AggregateQuery| plan_join(&agg, &join_clause(), "l", &l, &r, None).unwrap_err();
         assert_eq!(
             err(AggregateQuery::paper("k", "v")),
             PlanError::AmbiguousColumn("k".into())

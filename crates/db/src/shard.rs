@@ -53,20 +53,16 @@
 
 use crate::cancel::CancelToken;
 use crate::catalogue::CatOp;
-use crate::database::ExplainOutput;
-use crate::database::{Database, MutationReceipt, SqlError};
+use crate::database::{plannable, Database, ExplainOutput, MutationReceipt, SqlError};
 use crate::delta::TableStats;
 use crate::engine::{Engine, ExecutionReport, QueryOutput, Row};
 use crate::executor::{Executor, ExecutorConfig, ExecutorError, ExecutorStats};
 use crate::filter::Predicate;
 use crate::ingest::{CompactionPolicy, RowBatch};
-use crate::join::{
-    derived_table, plan_join, side_columns, ColumnSet, JoinBuildSink, JoinIndex, JoinMorsel,
-    JoinPlan, JoinStrategy, JoinWork,
-};
+use crate::join::{self, JoinPlan, JoinSide};
 use crate::metrics::{MetricsSnapshot, SlowQuery};
 use crate::morsel;
-use crate::plan::{PlanError, PlanStep, QueryPlan};
+use crate::plan::{PlanError, QueryPlan};
 use crate::prepared::PreparedStatement;
 use crate::query::AggregateQuery;
 use crate::recovery;
@@ -226,7 +222,7 @@ impl ShardedSnapshot {
 /// freshly registered table, `+1` for every shard-level delta bump —
 /// the total ingest activity the partitions have absorbed, so drift
 /// between a plan and the sharded table is observable as one number.
-fn merged_data_version(per_shard: Vec<u64>) -> Option<u64> {
+pub(crate) fn merged_data_version(per_shard: Vec<u64>) -> Option<u64> {
     Some(1 + per_shard.iter().map(|v| v - 1).sum::<u64>())
 }
 
@@ -982,26 +978,10 @@ impl ShardedDatabase {
         if q.as_of.is_some() {
             return Err(SqlError::ShardedTimeTravel);
         }
-        if q.join.is_none() {
-            return self.run_query(&q.table, &q.query, snap, trace, cancel);
+        if q.join.is_some() {
+            return self.run_join(q, snap, trace, cancel);
         }
-        let owned;
-        let cut = match snap {
-            Some(snap) => {
-                self.check_snapshot(snap)?;
-                for (shard, cut) in self.shards.iter().zip(snap.shards.iter()) {
-                    if !cut.catalogue().is_same(shard.catalogue()) {
-                        return Err(SqlError::ForeignSnapshot);
-                    }
-                }
-                snap
-            }
-            None => {
-                owned = self.snapshot();
-                &owned
-            }
-        };
-        self.run_join_cut(cut, q, trace, cancel)
+        self.run_query(&q.table, &q.query, snap, trace, cancel)
     }
 
     /// Plans a statement against the first non-empty shard's partition
@@ -1017,8 +997,9 @@ impl ShardedDatabase {
     pub fn explain_sql(&self, sql: &str) -> Result<ExplainOutput, SqlError> {
         let q = parse_plannable(sql)?;
         if q.join.is_some() {
-            let cut = self.snapshot();
-            return Ok(ExplainOutput::Join(Box::new(self.plan_join_cut(&cut, &q)?)));
+            return Ok(ExplainOutput::Join(Box::new(
+                self.plan_join_read(&q, None)?.0,
+            )));
         }
         let shard = self
             .first_populated_shard(&q.table)?
@@ -1033,9 +1014,10 @@ impl ShardedDatabase {
     /// Plans a two-table `JOIN` statement against an atomic cross-shard
     /// cut without executing it: the [`JoinPlan`] carries the §V-D
     /// build-side choice and the sharded exchange strategy
-    /// ([`JoinStrategy::Broadcast`] or [`JoinStrategy::Partition`])
-    /// picked from the merged [`TableStats`] of both sides. Accepts a
-    /// bare `SELECT` or an `EXPLAIN SELECT`.
+    /// ([`crate::JoinStrategy::Broadcast`] or
+    /// [`crate::JoinStrategy::Partition`]) picked from the merged
+    /// [`TableStats`] of both sides. Accepts a bare `SELECT` or an
+    /// `EXPLAIN SELECT`.
     ///
     /// # Errors
     ///
@@ -1047,8 +1029,7 @@ impl ShardedDatabase {
         if q.join.is_none() {
             return Err(SqlError::JoinStatement);
         }
-        let cut = self.snapshot();
-        self.plan_join_cut(&cut, &q)
+        Ok(self.plan_join_read(&q, None)?.0)
     }
 
     /// Prepares a statement once against every shard; execute it with
@@ -1245,191 +1226,61 @@ impl ShardedDatabase {
         self.execute_plans(query, plans, trace, cancel)
     }
 
-    /// Plans a two-table join at a cross-shard cut: schemas from any
-    /// shard's partition (all shards share the schema), statistics and
-    /// data versions **merged** across the cut — so the §V-D build-side
-    /// choice and the broadcast/partition decision see the whole
-    /// table, not one partition.
-    fn plan_join_cut(&self, cut: &ShardedSnapshot, q: &SqlQuery) -> Result<JoinPlan, SqlError> {
+    /// Plans a two-table join at `snap` (or a fresh atomic cut) through
+    /// the shared side resolver (see [`crate::join`]): the §V-D
+    /// build-side choice and the broadcast/partition decision see the
+    /// statistics and data versions merged across every shard, not one
+    /// partition.
+    fn plan_join_read(
+        &self,
+        q: &SqlQuery,
+        snap: Option<&ShardedSnapshot>,
+    ) -> Result<(JoinPlan, JoinSide, JoinSide), SqlError> {
         let join = q.join.as_ref().expect("caller verified a join clause");
-        let fetch = |name: &str| -> Result<(Table, TableStats, u64), SqlError> {
-            let missing = || SqlError::UnknownTable(name.to_string());
-            let schema = cut
-                .shards
-                .iter()
-                .find_map(|s| s.table(name))
-                .ok_or_else(missing)?;
-            let stats = cut.table_stats(name).ok_or_else(missing)?;
-            let version = cut.data_version(name).ok_or_else(missing)?;
-            Ok((schema, stats, version))
+        let owned;
+        let cut = match snap {
+            Some(snap) => {
+                self.check_snapshot(snap)?;
+                snap
+            }
+            None => {
+                owned = self.snapshot();
+                &owned
+            }
         };
-        let (lt, ls, lv) = fetch(&q.table)?;
-        let (rt, rs, rv) = fetch(&join.table)?;
-        Ok(plan_join(
-            &q.query,
-            join,
-            &q.table,
-            &lt,
-            &ls,
-            lv,
-            &rt,
-            &rs,
-            rv,
-            self.shards.len(),
-            None,
-        )?)
+        let owners = self.shards.iter().map(Database::catalogue);
+        join::plan_cut(&q.query, &q.table, join, &cut.shards, owners)
     }
 
-    /// Executes a two-table join at a cross-shard cut — the sharded
-    /// exchange (see [`crate::join`]):
-    ///
-    /// 1. **Build**, cooperatively: the build side's partitions are
-    ///    concatenated into one global row id space and split into
-    ///    morsels on the executor; every worker interns key tuples into
-    ///    the shared sink(s) — one global sink under
-    ///    [`JoinStrategy::Broadcast`], one sink per shard keyed by a
-    ///    hash of the join key under [`JoinStrategy::Partition`].
-    /// 2. **Probe**, streamed: after the coordinator freezes the
-    ///    indexes (the phase barrier), each shard's probe partition is
-    ///    morselized and streamed through them; partitioned probes
-    ///    route each row to the one index its key hashes to.
-    /// 3. **Aggregate**: the matched pairs gather per-shard derived
-    ///    tables, and the ordinary sharded aggregation pipeline
-    ///    ([`ShardedDatabase::run_sql`]'s morsel + merge + coordinator
-    ///    tail) runs over them unchanged.
-    fn run_join_cut(
+    /// Executes a two-table join at `snap` (or a fresh atomic cut): the
+    /// shared join exchange (see [`crate::join`]) runs its build and
+    /// probe morsels on the executor pool, then the per-shard derived
+    /// tables run through the ordinary sharded aggregation pipeline
+    /// ([`ShardedDatabase::run_sql`]'s morsel + merge + coordinator
+    /// tail) unchanged.
+    fn run_join(
         &mut self,
-        cut: &ShardedSnapshot,
         q: &SqlQuery,
+        snap: Option<&ShardedSnapshot>,
         mut trace: Option<&mut QueryTrace>,
         cancel: Option<&CancelToken>,
     ) -> Result<ShardedOutput, SqlError> {
-        let plan = self.plan_join_cut(cut, q)?;
-        let parts = |name: &str| -> Result<Vec<Table>, SqlError> {
-            cut.shards
-                .iter()
-                .map(|s| {
-                    s.table(name)
-                        .ok_or_else(|| SqlError::UnknownTable(name.to_string()))
-                })
-                .collect()
-        };
-        let (lparts, rparts) = (parts(plan.left_table())?, parts(plan.right_table())?);
-        let (bparts, pparts) = if plan.build_right() {
-            (rparts, lparts)
-        } else {
-            (lparts, rparts)
-        };
-        let (bkeys, pkeys) = (plan.build_keys(), plan.probe_keys());
-        let build = ColumnSet::concat(&bparts, &side_columns(&plan, true));
-        let morsel_rows = self.executor.config().morsel_rows.max(1);
+        let (plan, left, right) = self.plan_join_read(q, snap)?;
+        let executor = &self.executor;
+        let morsel_rows = executor.config().morsel_rows;
+        let derived = join::execute(
+            &plan,
+            &left,
+            &right,
+            morsel_rows,
+            trace.as_deref_mut(),
+            |morsels| {
+                let outcomes = executor.execute_join(morsels, cancel);
+                check_cancel(cancel)?;
+                Ok(outcomes)
+            },
+        )?;
 
-        // Build phase: one sink broadcasts, N sinks partition by key
-        // hash. Build morsels carry a spreading tag so they seed
-        // across the whole pool.
-        let nparts = match plan.strategy() {
-            JoinStrategy::Partition => self.shards.len(),
-            JoinStrategy::Local | JoinStrategy::Broadcast => 1,
-        };
-        let sinks: Arc<Vec<JoinBuildSink>> =
-            Arc::new((0..nparts).map(|_| JoinBuildSink::new()).collect());
-        let build_keys: Arc<Vec<Arc<[u32]>>> = Arc::new(build.keys(&bkeys));
-        let build_rows = build_keys.first().map_or(0, |k| k.len());
-        let mut morsels = Vec::new();
-        let (mut lo, mut tag) = (0, 0);
-        while lo < build_rows {
-            let hi = (lo + morsel_rows).min(build_rows);
-            morsels.push(JoinMorsel {
-                shard: tag,
-                keys: Arc::clone(&build_keys),
-                lo,
-                hi,
-                work: JoinWork::Build {
-                    sinks: Arc::clone(&sinks),
-                },
-            });
-            tag += 1;
-            lo = hi;
-        }
-        self.executor.execute_join(morsels, cancel);
-        check_cancel(cancel)?;
-
-        // Phase barrier: freeze the sinks into deterministic indexes,
-        // then stream each shard's probe partition through them.
-        let freeze0 = std::time::Instant::now();
-        let indexes: Arc<Vec<JoinIndex>> =
-            Arc::new(sinks.iter().map(JoinBuildSink::freeze).collect());
-        let freeze_ns = freeze0.elapsed().as_nanos() as u64;
-        let probe_sets: Vec<ColumnSet> = pparts
-            .iter()
-            .map(|t| ColumnSet::from_table(t, &side_columns(&plan, false)))
-            .collect();
-        let mut probes = Vec::new();
-        for (shard, set) in probe_sets.iter().enumerate() {
-            let keys: Arc<Vec<Arc<[u32]>>> = Arc::new(set.keys(&pkeys));
-            let rows = pparts[shard].rows();
-            let mut lo = 0;
-            while lo < rows {
-                let hi = (lo + morsel_rows).min(rows);
-                probes.push(JoinMorsel {
-                    shard,
-                    keys: Arc::clone(&keys),
-                    lo,
-                    hi,
-                    work: JoinWork::Probe {
-                        indexes: Arc::clone(&indexes),
-                    },
-                });
-                lo = hi;
-            }
-        }
-        let mut outcomes = self.executor.execute_join(probes, cancel);
-        check_cancel(cancel)?;
-        // Morsels complete in racy order; pair order must not.
-        outcomes.sort_by_key(|o| (o.shard, o.lo));
-
-        if let Some(t) = trace.as_deref_mut() {
-            // The join phases are host-side shared-state work (interning
-            // into the sinks, probing the frozen indexes): no simulated
-            // cycles, observed rows only.
-            let entries: u64 = indexes.iter().map(|i| i.entries() as u64).sum();
-            let hits: u64 = indexes.iter().map(JoinIndex::dict_hits).sum();
-            let probe_rows: u64 = pparts.iter().map(|p| p.rows() as u64).sum();
-            let pairs: u64 = outcomes.iter().map(|o| o.pairs.len() as u64).sum();
-            for step in plan.steps() {
-                match step {
-                    PlanStep::JoinBuild { .. } => t.record_host_step(
-                        step.to_string(),
-                        step.estimated_rows(),
-                        build_rows as u64,
-                        entries,
-                    ),
-                    PlanStep::JoinProbe { .. } => t.record_host_step(
-                        step.to_string(),
-                        step.estimated_rows(),
-                        probe_rows,
-                        pairs,
-                    ),
-                    _ => {}
-                }
-            }
-            t.dict_entries += entries;
-            t.dict_hits += hits;
-            t.freeze_ns = Some(t.freeze_ns.unwrap_or(0) + freeze_ns);
-        }
-
-        // Gather per-shard derived tables and run the ordinary sharded
-        // aggregation pipeline over them.
-        let derived: Vec<Table> = (0..self.shards.len())
-            .map(|s| {
-                let pairs: Vec<(u32, u32)> = outcomes
-                    .iter()
-                    .filter(|o| o.shard == s)
-                    .flat_map(|o| o.pairs.iter().copied())
-                    .collect();
-                derived_table(&plan, &pairs, &probe_sets[s], &build)
-            })
-            .collect();
         let engine = self.shards[0].catalogue().engine();
         let plans: Vec<Option<QueryPlan>> = derived
             .iter()
@@ -1499,18 +1350,12 @@ impl ShardedDatabase {
 }
 
 /// The query of a statement the sharded explain entry points can plan
-/// — a bare `SELECT`, an `EXPLAIN SELECT` or an `EXPLAIN ANALYZE
-/// SELECT`, without `AS OF`; every other statement is a typed
-/// rejection.
+/// — [`Database`]'s rule, plus a typed [`SqlError::ShardedTimeTravel`]
+/// for `AS OF` and `CREATE SNAPSHOT`.
 fn parse_plannable(sql: &str) -> Result<SqlQuery, SqlError> {
     let q = match parse_statement(sql)? {
-        Statement::Select(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => q,
-        Statement::Insert(_) => return Err(SqlError::InsertStatement),
-        Statement::Delete(_) | Statement::Update(_) => return Err(SqlError::MutationStatement),
         Statement::CreateSnapshot(_) => return Err(SqlError::ShardedTimeTravel),
-        Statement::Begin { .. } | Statement::Commit | Statement::Rollback => {
-            return Err(SqlError::TransactionStatement)
-        }
+        statement => plannable(statement)?,
     };
     if q.as_of.is_some() {
         return Err(SqlError::ShardedTimeTravel);

@@ -10,8 +10,8 @@
 use proptest::correlated::{SideData, TablePair};
 use proptest::prelude::*;
 use vagg::db::{
-    parse, CompactionPolicy, Database, Engine, Row, RowBatch, Session, ShardedDatabase, SqlOutcome,
-    Table,
+    parse, CancelCause, CancelToken, CompactionPolicy, Database, Engine, Row, RowBatch, Session,
+    ShardedDatabase, SqlError, SqlOutcome, Table,
 };
 
 /// Correlated pairs over one or two key columns, sweeping overlap
@@ -379,4 +379,44 @@ proptest! {
             prop_assert_eq!(&merged, &expect, "{} shards, {:?}", shards, at);
         }
     }
+}
+
+/// A join admits each build and probe morsel through the query's
+/// [`CancelToken`] on both databases: a one-morsel budget trips at the
+/// probe, and the session answers the same join afterwards.
+#[test]
+fn a_join_morsel_budget_cancels_on_both_databases() {
+    let sql = "SELECT l.k, COUNT(*), SUM(w) FROM l JOIN r ON l.k = r.k GROUP BY l.k";
+    let l = || Table::new("l").with_column("k", (0..5000u32).map(|i| i % 50).collect());
+    let r = || {
+        Table::new("r")
+            .with_column("k", (0..100u32).collect())
+            .with_column("w", (0..100u32).map(|i| i * 3).collect())
+    };
+    let over_budget = SqlError::Cancelled(CancelCause::OverBudget);
+
+    let mut db = Database::new();
+    db.register(l());
+    db.register(r());
+    let token = CancelToken::with_morsel_budget(1);
+    assert_eq!(
+        db.run_sql_cancellable(sql, &token).unwrap_err(),
+        over_budget
+    );
+    let rows = match db.run_sql_cancellable(sql, &CancelToken::new()).unwrap() {
+        SqlOutcome::Rows(out) => out.rows,
+        other => panic!("SELECT returned {other:?}"),
+    };
+    assert_eq!(rows, run_single(&mut db, sql));
+    assert_eq!(rows.len(), 50);
+
+    let mut sharded = ShardedDatabase::new(2);
+    sharded.register(l());
+    sharded.register(r());
+    let token = CancelToken::with_morsel_budget(1);
+    assert_eq!(
+        sharded.run_sql_cancellable(sql, &token).unwrap_err(),
+        over_budget
+    );
+    assert_eq!(sharded.run_sql(sql).unwrap().rows, rows);
 }

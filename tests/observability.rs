@@ -248,9 +248,21 @@ proptest! {
         let plain = sharded.run_sql(sql).unwrap();
         let traced = sharded.run_sql(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
         prop_assert_eq!(&traced.rows, &plain.rows, "{} shards", shards);
-        if let Some(t) = traced.trace.as_deref() {
-            assert_trace_consistent(t);
-        }
+        let sharded_trace = traced.trace.as_deref().expect("EXPLAIN ANALYZE traces");
+        assert_trace_consistent(sharded_trace);
+
+        // One join recorder: both databases observe the same build and
+        // probe rows and the same dictionary traffic.
+        let join_actuals = |t: &vagg::db::QueryTrace| -> Vec<(u64, u64)> {
+            t.steps
+                .iter()
+                .filter(|s| s.step.starts_with("JoinBuild") || s.step.starts_with("JoinProbe"))
+                .map(|s| (s.rows_in, s.rows_out))
+                .collect()
+        };
+        prop_assert_eq!(join_actuals(sharded_trace), join_actuals(&trace), "{} shards", shards);
+        prop_assert_eq!(sharded_trace.dict_entries, trace.dict_entries);
+        prop_assert_eq!(sharded_trace.dict_hits, trace.dict_hits);
     }
 }
 
